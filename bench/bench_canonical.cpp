@@ -2,12 +2,9 @@
 // subset, emitting a schema-versioned JSON (BENCH_<pr>.json at the repo root)
 // that tools/bench_compare.py diffs against the committed baseline in CI.
 //
-// Workloads per graph: SSSP (dijkstra; Δ-stepping tiled vs untiled — the
-// edge-tiling A/B), prune, compact, KSP (arena vs no-arena deviation
-// SSSPs — the scratch-arena A/B), and the end-to-end PeeK pipeline. The A/B
-// pairs double as correctness gates: the driver aborts if tiled Δ-stepping
-// is not bit-identical to untiled, or if arena-backed Yen returns different
-// paths than the allocating path.
+// Workloads per graph: SSSP (Dijkstra and Δ-stepping, whose distances must
+// agree), prune, compact, KSP (serial Yen: one restricted Dijkstra per
+// deviation) and the end-to-end PeeK pipeline.
 //
 // Each graph also carries the live-mutation A/B (dyn.repair.{incremental,
 // full}): cone repair of 16 cached SSSP trees after a single-edge reweight
@@ -80,15 +77,6 @@ bool same_dists(const sssp::SsspResult& a, const sssp::SsspResult& b) {
   return a.dist == b.dist;  // bit-identical, not approximately equal
 }
 
-bool same_paths(const ksp::KspResult& a, const ksp::KspResult& b) {
-  if (a.paths.size() != b.paths.size()) return false;
-  for (size_t i = 0; i < a.paths.size(); ++i) {
-    if (a.paths[i].verts != b.paths[i].verts) return false;
-    if (a.paths[i].dist != b.paths[i].dist) return false;
-  }
-  return true;
-}
-
 void run_graph(const bench::BenchGraph& bg, int reps, std::uint64_t seed,
                MetricMap& metrics, std::vector<GraphEntry>& entries) {
   const graph::CsrGraph& g = bg.g;
@@ -108,31 +96,18 @@ void run_graph(const bench::BenchGraph& bg, int reps, std::uint64_t seed,
   };
 
   // -- SSSP ----------------------------------------------------------------
+  sssp::SsspResult dijkstra_ref;
   metrics[key("sssp.dijkstra")] = bench::time_stats(reps, [&] {
-    sssp::dijkstra(view, s, {});
+    dijkstra_ref = sssp::dijkstra(view, s, {});
   });
-
-  sssp::DeltaSteppingOptions untiled;
-  untiled.parallel = true;
-  untiled.tiled = false;
-  sssp::DeltaSteppingOptions tiled = untiled;
-  tiled.tiled = true;
-  // Measure the tiling machinery itself, not the single-worker skip
-  // heuristic — otherwise this A/B is vacuous on 1-core runners.
-  tiled.tile_single_worker = true;
-
-  sssp::SsspResult delta_ref;
-  metrics[key("sssp.delta.untiled")] = bench::time_stats(reps, [&] {
-    delta_ref = sssp::delta_stepping(view, s, untiled);
+  sssp::SsspResult delta;
+  metrics[key("sssp.delta")] = bench::time_stats(reps, [&] {
+    delta = sssp::delta_stepping(view, s, {});
   });
-  sssp::SsspResult delta_tiled;
-  metrics[key("sssp.delta.tiled")] = bench::time_stats(reps, [&] {
-    delta_tiled = sssp::delta_stepping(view, s, tiled);
-  });
-  if (!same_dists(delta_ref, delta_tiled)) {
+  if (!same_dists(dijkstra_ref, delta)) {
     std::fprintf(stderr,
-                 "bench_canonical: tiled Δ-stepping diverged from untiled "
-                 "on %s — refusing to emit numbers for broken code\n",
+                 "bench_canonical: Δ-stepping diverged from Dijkstra on %s — "
+                 "refusing to emit numbers for broken code\n",
                  bg.name.c_str());
     std::exit(1);
   }
@@ -154,28 +129,13 @@ void run_graph(const bench::BenchGraph& bg, int reps, std::uint64_t seed,
                               pr.edge_keep, {.alpha = 0.5, .parallel = true});
   });
 
-  // -- KSP: arena vs no-arena deviation SSSPs ------------------------------
+  // -- KSP: serial Yen, one restricted Dijkstra per deviation -------------
   ksp::KspOptions ko;
   ko.k = 8;
-  ko.parallel = false;  // serial Yen is where the per-candidate allocation
-                        // churn lives; the arena replaces exactly that
-  ko.scratch_arena = false;
-  ksp::KspResult ksp_ref;
-  metrics[key("ksp.noarena")] = bench::time_stats(reps, [&] {
-    ksp_ref = ksp::yen_ksp(g, s, t, ko);
+  ko.parallel = false;
+  metrics[key("ksp.yen")] = bench::time_stats(reps, [&] {
+    ksp::yen_ksp(g, s, t, ko);
   });
-  ko.scratch_arena = true;
-  ksp::KspResult ksp_arena;
-  metrics[key("ksp.arena")] = bench::time_stats(reps, [&] {
-    ksp_arena = ksp::yen_ksp(g, s, t, ko);
-  });
-  if (!same_paths(ksp_ref, ksp_arena)) {
-    std::fprintf(stderr,
-                 "bench_canonical: arena-backed Yen diverged from the "
-                 "allocating path on %s\n",
-                 bg.name.c_str());
-    std::exit(1);
-  }
 
   // -- End-to-end PeeK -----------------------------------------------------
   core::PeekOptions eo;

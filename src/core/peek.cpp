@@ -14,18 +14,14 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Translates every path of `r` through new->old ids (in place).
-void translate_paths(ksp::KspResult& r, const compact::VertexMap& map) {
-  for (auto& p : r.paths) {
-    for (auto& v : p.verts) v = map.to_old(v);
-  }
-}
+/// The KSP stage's algorithm: the compacted graph, s and t in its ids, and
+/// the prune stage's reverse tree in the same ids (empty when pruning was
+/// skipped).
+using TreeKspAlgorithm = std::function<ksp::KspResult(
+    const sssp::BiView&, vid_t, vid_t, sssp::SsspResult)>;
 
-}  // namespace
-
-PeekResult peek_with_algorithm(const graph::CsrGraph& g, vid_t s, vid_t t,
-                               const PeekOptions& opts,
-                               const KspAlgorithm& algo) {
+PeekResult run_pipeline(const graph::CsrGraph& g, vid_t s, vid_t t,
+                        const PeekOptions& opts, const TreeKspAlgorithm& algo) {
   using Clock = std::chrono::steady_clock;
   PeekResult result;
   const eid_t m_original = g.num_edges();
@@ -64,7 +60,7 @@ PeekResult peek_with_algorithm(const graph::CsrGraph& g, vid_t s, vid_t t,
   if (!opts.prune) {
     // Ablation "Base": the downstream algorithm on the untouched graph.
     const auto t0 = Clock::now();
-    result.ksp = algo(sssp::BiView::of(g), s, t);
+    result.ksp = algo(sssp::BiView::of(g), s, t, {});
     result.ksp_seconds = seconds_since(t0);
     result.status = result.ksp.status;
     result.kept_vertices = g.num_vertices();
@@ -95,105 +91,122 @@ PeekResult peek_with_algorithm(const graph::CsrGraph& g, vid_t s, vid_t t,
     return result;
   }
 
-  // Stage 2: compaction.
+  // Stage 2: compaction into one (view, s, t, id map, reverse tree).
   const auto t1 = Clock::now();
   const std::uint8_t* keep = pruned.vertex_keep.data();
   const auto& edge_keep = pruned.edge_keep;
-
-  auto run_ksp = [&](const sssp::BiView& view, vid_t cs, vid_t ct,
-                     const compact::VertexMap* map) {
-    const auto t2 = Clock::now();
-    ksp::KspResult r = algo(view, cs, ct);
-    result.ksp_seconds = seconds_since(t2);
-    if (map) translate_paths(r, *map);
-    result.status = r.status;
-    result.ksp = std::move(r);
-  };
-
-  // Compaction aborted mid-flight: classify the trip and bail with no paths.
-  auto abort_compact = [&](fault::Status::Code code) {
-    result.compact_seconds = seconds_since(t1);
-    result.status = code;
-    finalize();
-  };
-
+  compact::Strategy strategy = compact::Strategy::kStatusArray;
   switch (opts.compaction) {
-    case PeekOptions::Compaction::kStatusArray: {
-      compact::StatusArrayGraph sa(g);
-      result.kept_edges = sa.apply(keep, edge_keep, opts.parallel);
-      result.strategy_used = compact::Strategy::kStatusArray;
-      result.compact_seconds = seconds_since(t1);
-      run_ksp(sa.biview(), s, t, nullptr);
+    case PeekOptions::Compaction::kStatusArray:
       break;
-    }
-    case PeekOptions::Compaction::kEdgeSwap: {
-      compact::MutableCsr mc(g);
+    case PeekOptions::Compaction::kEdgeSwap:
+      strategy = compact::Strategy::kEdgeSwap;
+      break;
+    case PeekOptions::Compaction::kRegeneration:
+      strategy = compact::Strategy::kRegeneration;
+      break;
+    case PeekOptions::Compaction::kAdaptive:
+      strategy = compact::choose_strategy(
+          compact::count_remaining_edges(sssp::GraphView(g), keep, edge_keep,
+                                         opts.parallel),
+          m_original, opts.alpha);
+      break;
+  }
+  result.strategy_used = strategy;
+  // One of the three representations owns the compacted graph; `map` is
+  // set for regeneration only.
+  std::optional<compact::StatusArrayGraph> status_array;
+  std::optional<compact::MutableCsr> swapped;
+  compact::RegeneratedGraph regen;
+  sssp::BiView view;
+  const compact::VertexMap* map = nullptr;
+  fault::Status::Code compact_status = fault::Status::kOk;
+  switch (strategy) {
+    case compact::Strategy::kStatusArray:
+      status_array.emplace(g);
+      result.kept_edges = status_array->apply(keep, edge_keep, opts.parallel);
+      view = status_array->biview();
+      break;
+    case compact::Strategy::kEdgeSwap: {
+      swapped.emplace(g);
       const eid_t kept_edges = compact::edge_swap_compact(
-          mc, keep, edge_keep, {.parallel = opts.parallel, .cancel = opts.cancel});
-      result.strategy_used = compact::Strategy::kEdgeSwap;
+          *swapped, keep, edge_keep,
+          {.parallel = opts.parallel, .cancel = opts.cancel});
       if (kept_edges == compact::kEdgeSwapCancelled) {
-        abort_compact(poll.should_stop() ? poll.why()
-                                         : fault::Status::kCancelled);
-        return result;
+        compact_status =
+            poll.should_stop() ? poll.why() : fault::Status::kCancelled;
+        break;
       }
       result.kept_edges = kept_edges;
-      result.compact_seconds = seconds_since(t1);
-      run_ksp(mc.biview(), s, t, nullptr);
+      view = swapped->biview();
       break;
     }
-    case PeekOptions::Compaction::kRegeneration: {
-      auto regen = compact::regenerate(
+    case compact::Strategy::kRegeneration:
+      regen = compact::regenerate(
           sssp::GraphView(g), keep, edge_keep,
           {.parallel = opts.parallel, .cancel = opts.cancel});
-      result.strategy_used = compact::Strategy::kRegeneration;
-      if (regen.status != fault::Status::kOk) {
-        abort_compact(regen.status);
-        return result;
-      }
+      compact_status = regen.status;
       result.kept_edges = regen.graph.num_edges();
-      result.compact_seconds = seconds_since(t1);
-      const vid_t cs = regen.map.to_new(s), ct = regen.map.to_new(t);
-      if (cs == kNoVertex || ct == kNoVertex) break;
-      run_ksp(sssp::BiView::of(regen.graph), cs, ct, &regen.map);
+      view = sssp::BiView::of(regen.graph);
+      map = &regen.map;
       break;
-    }
-    case PeekOptions::Compaction::kAdaptive: {
-      const eid_t m_r = compact::count_remaining_edges(
-          sssp::GraphView(g), keep, edge_keep, opts.parallel);
-      result.kept_edges = m_r;
-      const compact::Strategy strat =
-          compact::choose_strategy(m_r, m_original, opts.alpha);
-      result.strategy_used = strat;
-      if (strat == compact::Strategy::kRegeneration) {
-        auto regen = compact::regenerate(
-            sssp::GraphView(g), keep, edge_keep,
-            {.parallel = opts.parallel, .cancel = opts.cancel});
-        if (regen.status != fault::Status::kOk) {
-          abort_compact(regen.status);
-          return result;
-        }
-        result.compact_seconds = seconds_since(t1);
-        const vid_t cs = regen.map.to_new(s), ct = regen.map.to_new(t);
-        if (cs == kNoVertex || ct == kNoVertex) break;
-        run_ksp(sssp::BiView::of(regen.graph), cs, ct, &regen.map);
-      } else {
-        compact::MutableCsr mc(g);
-        const eid_t kept_edges = compact::edge_swap_compact(
-            mc, keep, edge_keep,
-            {.parallel = opts.parallel, .cancel = opts.cancel});
-        if (kept_edges == compact::kEdgeSwapCancelled) {
-          abort_compact(poll.should_stop() ? poll.why()
-                                           : fault::Status::kCancelled);
-          return result;
-        }
-        result.compact_seconds = seconds_since(t1);
-        run_ksp(mc.biview(), s, t, nullptr);
-      }
-      break;
+  }
+  if (compact_status != fault::Status::kOk) {
+    // Compaction aborted mid-flight: no paths.
+    result.compact_seconds = seconds_since(t1);
+    result.status = compact_status;
+    finalize();
+    return result;
+  }
+  const vid_t cs = map ? map->to_new(s) : s;
+  const vid_t ct = map ? map->to_new(t) : t;
+  sssp::SsspResult rtree = map
+                               ? compacted_reverse_tree(pruned.to_target, *map)
+                               : std::move(pruned.to_target);
+  result.compact_seconds = seconds_since(t1);
+  if (cs == kNoVertex || ct == kNoVertex) {
+    finalize();
+    return result;
+  }
+
+  // Stage 3: KSP on the compacted graph, reported in original ids.
+  const auto t2 = Clock::now();
+  ksp::KspResult r = algo(view, cs, ct, std::move(rtree));
+  result.ksp_seconds = seconds_since(t2);
+  if (map) {
+    for (auto& p : r.paths) {
+      for (auto& v : p.verts) v = map->to_old(v);
     }
   }
+  result.status = r.status;
+  result.ksp = std::move(r);
   finalize();
   return result;
+}
+
+}  // namespace
+
+sssp::SsspResult compacted_reverse_tree(const sssp::SsspResult& to_target,
+                                        const compact::VertexMap& map) {
+  const auto n_new = map.new_to_old.size();
+  sssp::SsspResult rtree;
+  rtree.dist.resize(n_new);
+  rtree.parent.resize(n_new);
+  for (size_t v = 0; v < n_new; ++v) {
+    const vid_t old = map.new_to_old[v];
+    rtree.dist[v] = to_target.dist[old];
+    const vid_t par = to_target.parent[old];
+    rtree.parent[v] = par == kNoVertex ? kNoVertex : map.to_new(par);
+  }
+  return rtree;
+}
+
+PeekResult peek_with_algorithm(const graph::CsrGraph& g, vid_t s, vid_t t,
+                               const PeekOptions& opts,
+                               const KspAlgorithm& algo) {
+  return run_pipeline(g, s, t, opts,
+                      [&algo](const sssp::BiView& view, vid_t s2, vid_t t2,
+                              sssp::SsspResult) { return algo(view, s2, t2); });
 }
 
 PeekResult peek_ksp(const graph::CsrGraph& g, vid_t s, vid_t t,
@@ -203,10 +216,14 @@ PeekResult peek_ksp(const graph::CsrGraph& g, vid_t s, vid_t t,
   ko.parallel = opts.parallel;
   ko.delta = opts.delta;
   ko.cancel = opts.cancel;
-  return peek_with_algorithm(
-      g, s, t, opts, [&ko](const sssp::BiView& view, vid_t s2, vid_t t2) {
-        return ksp::optyen_ksp(view, s2, t2, ko);
-      });
+  return run_pipeline(g, s, t, opts,
+                      [&ko](const sssp::BiView& view, vid_t s2, vid_t t2,
+                            sssp::SsspResult rtree) {
+                        if (rtree.dist.empty())
+                          return ksp::optyen_ksp(view, s2, t2, ko);
+                        return ksp::optyen_ksp(view, s2, t2, std::move(rtree),
+                                               ko);
+                      });
 }
 
 }  // namespace peek::core

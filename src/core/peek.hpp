@@ -2,7 +2,8 @@
 //   1. K upper bound pruning        (core/upper_bound)
 //   2. adaptive graph compaction    (compact/)
 //   3. KSP on the compacted graph   (OptYen-style: static reverse tree, no
-//                                    vertex colors — ksp/optyen)
+//                                    vertex colors — ksp/optyen; the tree
+//                                    is the prune stage's, reused)
 // Results are always reported in ORIGINAL vertex ids, whatever compaction
 // strategy ran. Per-stage wall times are returned for the benches.
 #pragma once
@@ -73,9 +74,20 @@ struct PeekResult {
   }
 };
 
-/// The K shortest simple paths from s to t via the PeeK pipeline.
+/// The K shortest simple paths from s to t via the PeeK pipeline. The KSP
+/// stage is OptYen warm-started from the prune stage's reverse tree.
 PeekResult peek_ksp(const graph::CsrGraph& g, vid_t s, vid_t t,
                     const PeekOptions& opts = {});
+
+/// The prune stage's reverse tree (`to_target`, in original ids) in the ids
+/// of a regenerated graph. Sound: for every kept v, the shortest v->t path
+/// survives pruning vertex by vertex and edge by edge (for u on it,
+/// spSrc[u] + spTgt[u] <= spSrc[v] + spTgt[v] <= b by subpath optimality,
+/// and each edge obeys both §4 edge rules), so the result is a valid — and
+/// distance-identical — reverse shortest-path tree of the compacted graph.
+/// peek_ksp and serve::QueryEngine warm-start their KSP streams from it.
+sssp::SsspResult compacted_reverse_tree(const sssp::SsspResult& to_target,
+                                        const compact::VertexMap& map);
 
 /// PeeK-as-preprocessor (§1.3 novelty iii): run any KSP algorithm on the
 /// pruned-and-compacted graph. `algo` receives the compacted BiView and the

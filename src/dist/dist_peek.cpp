@@ -18,7 +18,6 @@ namespace {
 
 using ksp::Candidate;
 using ksp::CandidateSet;
-using sssp::GraphView;
 using sssp::SsspResult;
 
 /// Flat encoding of candidate paths for the allgather exchange:
@@ -236,7 +235,13 @@ DistPeekResult dist_peek_ksp(Comm& comm, const graph::CsrGraph& g, vid_t s,
   std::vector<Candidate> accepted;
   accepted.push_back({std::move(first), 0});
   CandidateSet cands;
+  // Each owned deviation is the shared engine's per-position step with
+  // OptYen's solver — the same computation a single-process stream runs.
   std::vector<std::uint8_t> mask(static_cast<size_t>(result.kept_vertices), 0);
+  sssp::DijkstraWorkspace ws;
+  ksp::detail::OptYenCounts counts;
+  const ksp::detail::DeviationSolver solver =
+      ksp::detail::optyen_solver(view.fwd, rtree, ct, {}, counts);
 
   int cand_tag = 0;  // mailboxes are drained by now; fresh tag space is safe
 
@@ -296,29 +301,9 @@ DistPeekResult dist_peek_ksp(Comm& comm, const graph::CsrGraph& g, vid_t s,
     std::vector<weight_t> my_dists;
     for (int i = cur.dev_index; i < len - 1; ++i) {
       if (i % comm.size() != comm.rank()) continue;  // round-robin ownership
-      const vid_t v = p[static_cast<size_t>(i)];
-      for (int j = 0; j < i; ++j) mask[p[static_cast<size_t>(j)]] = 1;
-      const auto banned = ksp::detail::banned_edges_at(view.fwd, accepted, p, i);
-      std::vector<vid_t> prefix(p.begin(), p.begin() + i + 1);
-      ksp::detail::DeviationContext ctx{prefix, v, cum[static_cast<size_t>(i)],
-                                        mask.data(), banned, i};
-      sssp::Path suffix = ksp::detail::optyen_tree_shortcut(view.fwd, rtree, ct, ctx);
-      if (suffix.empty()) {
-        sssp::DijkstraOptions dj;
-        dj.target = ct;
-        dj.bans = {mask.data(), &banned};
-        auto rr = sssp::dijkstra(view.fwd, v, dj);
-        suffix = sssp::path_from_parents(rr, v, ct);
-      }
-      for (int j = 0; j < i; ++j) mask[p[static_cast<size_t>(j)]] = 0;
-      if (suffix.empty()) continue;
-      Candidate cand;
-      cand.dev_index = i;
-      cand.path.verts.assign(p.begin(), p.begin() + i);
-      cand.path.verts.insert(cand.path.verts.end(), suffix.verts.begin(),
-                             suffix.verts.end());
-      cand.path.dist = cum[static_cast<size_t>(i)] + suffix.dist;
-      encode_candidate(cand, my_ids, my_dists);
+      const auto cand = ksp::detail::deviate_at(view.fwd, accepted, p, cum, i,
+                                                mask, ws, nullptr, solver);
+      if (cand) encode_candidate(*cand, my_ids, my_dists);
     }
 
     auto all_cand_ids = comm.allgatherv_reliable(my_ids, cand_tag++, opts.retry);

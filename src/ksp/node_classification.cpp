@@ -5,7 +5,6 @@
 #include "ksp/yen_engine.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/scratch.hpp"
 
 namespace peek::ksp {
 
@@ -16,7 +15,7 @@ enum Color : std::uint8_t { kGreen = 0, kYellow = 1, kRed = 2 };
 /// Vertex colors over a fixed reverse shortest-path tree.
 class ColorState {
  public:
-  ColorState(const sssp::SsspResult& rtree, vid_t n) : rtree_(&rtree) {
+  ColorState(const sssp::SsspResult& rtree, vid_t n) {
     color_.assign(static_cast<size_t>(n), kGreen);
     children_.assign(static_cast<size_t>(n), {});
     for (vid_t u = 0; u < n; ++u) {
@@ -45,7 +44,6 @@ class ColorState {
   bool green(vid_t v) const { return color_[v] == kGreen; }
 
  private:
-  const sssp::SsspResult* rtree_;
   std::vector<std::uint8_t> color_;
   std::vector<std::vector<vid_t>> children_;
   std::vector<vid_t> stack_;
@@ -69,10 +67,6 @@ KspResult nc_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) {
 
   ColorState colors(rtree, g.fwd.num_vertices());
 
-  // NC runs its solver serially (the on_path_accepted hook disables the
-  // engine's outer-level parallelism), so one scratch covers every worker.
-  std::vector<sssp::SsspScratch> scratch(detail::solver_workers(opts));
-
   detail::EngineHooks hooks;
   hooks.on_path_accepted = [&](const sssp::Path& p, int dev_index) {
     colors.reset();
@@ -82,59 +76,25 @@ KspResult nc_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) {
   detail::DeviationSolver solver = [&](const detail::DeviationContext& ctx) {
     const vid_t v = ctx.deviation_vertex;
     colors.mark_red(v);
-    // argmin over allowed out-edges of w(e) + tree distance.
-    eid_t best_e = kNoEdge;
-    weight_t best = kInfDist;
-    for (eid_t e = g.fwd.edge_begin(v); e < g.fwd.edge_end(v); ++e) {
-      if (!g.fwd.edge_alive(e) || ctx.banned_edges.count(e)) continue;
-      const vid_t w = g.fwd.edge_target(e);
-      if (!g.fwd.vertex_alive(w) || ctx.banned_vertices[w] || w == v) continue;
-      if (rtree.dist[w] == kInfDist) continue;
-      const weight_t bound = g.fwd.edge_weight(e) + rtree.dist[w];
-      if (bound < best) {
-        best = bound;
-        best_e = e;
-      }
-    }
-    if (best_e == kNoEdge) return sssp::Path{};
-    const vid_t w0 = g.fwd.edge_target(best_e);
-    if (colors.green(w0)) {
-      // Green: the tree path from w0 avoids every red vertex (the whole
-      // prefix including v), so the lower bound is attained — O(1) answer.
+    const eid_t exit = detail::cheapest_tree_exit(
+        g.fwd, rtree, v, ctx.banned_vertices, ctx.banned_edges);
+    if (exit == kNoEdge) return sssp::Path{};
+    if (colors.green(g.fwd.edge_target(exit))) {
+      // Green: the tree path from the exit's head avoids every red vertex
+      // (the whole prefix including v), so the lower bound is attained —
+      // O(1) answer.
       shortcuts++;
-      sssp::Path suffix;
-      suffix.verts.push_back(v);
-      for (vid_t u = w0; u != kNoVertex; u = rtree.parent[u]) {
-        suffix.verts.push_back(u);
-        if (u == t) break;
-      }
-      if (suffix.verts.back() != t) return sssp::Path{};
-      suffix.dist = best;
-      return suffix;
+      return detail::tree_suffix(g.fwd, rtree, v, exit, t, nullptr);
     }
-    // Yellow next-hop: restricted SSSP on the non-red subgraph.
+    // Yellow next-hop: restricted SSSP on the non-red subgraph. NC runs its
+    // deviations serially (the on_path_accepted hook disables the engine's
+    // outer level), so a parallel SSSP parallelizes its own loops.
     sssp_calls++;
-    sssp::Bans bans{ctx.banned_vertices, &ctx.banned_edges};
-    if (opts.parallel) {
-      sssp::DeltaSteppingOptions ds;
-      ds.target = t;
-      ds.bans = bans;
-      ds.delta = opts.delta;
-      auto r = sssp::delta_stepping(g.fwd, v, ds);
-      return sssp::path_from_parents(r, v, t);
-    }
-    sssp::DijkstraOptions dj;
-    dj.target = t;
-    dj.bans = bans;
-    if (opts.scratch_arena)
-      return sssp::dijkstra_path(g.fwd, v, dj,
-                                 scratch[detail::worker_slot(opts)]);
-    auto r = sssp::dijkstra(g.fwd, v, dj);
-    return sssp::path_from_parents(r, v, t);
+    return detail::restricted_suffix(g.fwd, t, ctx, opts,
+                                     /*inner_parallel=*/true);
   };
 
   KspResult result = detail::run_yen_engine(g.fwd, s, t, opts, solver, hooks);
-  detail::count_arena_reuse(scratch);
   result.stats.sssp_calls = sssp_calls;
   result.stats.tree_shortcuts = shortcuts;
   return result;

@@ -6,7 +6,7 @@
 // re-colors its whole tree subtree — is exactly the overhead the paper blames
 // for NC's poor parallel scaling (§7.2 observation iii), and it is faithfully
 // reproduced here: NC's outer deviation loop stays serial because colors are
-// shared mutable state — contrast `run_yen_engine` in ksp/yen_engine.cpp,
+// shared mutable state — contrast the DeviationEngine in ksp/yen_engine,
 // which runs the same loop's deviation SSSPs concurrently for Yen/OptYen
 // (via par::parallel_for_dynamic) when `KspOptions::parallel` is set.
 #pragma once

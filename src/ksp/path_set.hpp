@@ -79,18 +79,13 @@ struct KspResult {
 
 struct KspOptions {
   int k = 8;
-  /// Two-level parallel strategy (§6.1), implemented by `run_yen_engine` in
-  /// ksp/yen_engine.cpp: concurrent deviation SSSPs (the outer level) +
-  /// parallel Δ-stepping inside each (the inner). Serial algorithms ignore
+  /// Two-level parallel strategy (§6.1), implemented by the deviation
+  /// engine in ksp/yen_engine.cpp: concurrent deviation SSSPs (the outer
+  /// level) + Δ-stepping inside each (the inner). Serial algorithms ignore
   /// it.
   bool parallel = false;
   /// Δ-stepping bucket width when parallel (<=0 auto).
   weight_t delta = 0;
-  /// Serve serial deviation SSSPs from a per-worker arena-backed scratch
-  /// (sssp/scratch.hpp) instead of allocating fresh dist/parent buffers per
-  /// candidate. Results are bit-identical either way; off exists for the
-  /// canonical bench's before/after measurement.
-  bool scratch_arena = true;
   /// Cooperative cancellation: checked at round boundaries and threaded into
   /// every deviation SSSP. Null = never cancelled.
   const fault::CancelToken* cancel = nullptr;

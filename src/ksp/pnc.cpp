@@ -5,15 +5,15 @@
 
 #include "ksp/yen_engine.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/scratch.hpp"
 
 namespace peek::ksp {
 
 namespace {
 
 using detail::banned_edges_at;
+using detail::cheapest_tree_exit;
 using detail::cumulative_distances;
-using sssp::GraphView;
+using detail::tree_suffix;
 using sssp::SsspResult;
 
 /// Pool entry: either a FINAL candidate (simple path, exact distance) or a
@@ -36,34 +36,6 @@ struct Entry {
   }
 };
 
-/// Walks the reverse-tree path from `w` and returns it as a suffix starting
-/// at `v`; empty (plus `*simple = false`) if it re-enters the prefix.
-sssp::Path tree_suffix(const SsspResult& rtree, const GraphView& fwd, vid_t v,
-                       eid_t via_edge, vid_t t, const std::uint8_t* banned,
-                       bool* simple) {
-  const vid_t w0 = fwd.edge_target(via_edge);
-  *simple = true;
-  for (vid_t u = w0; u != kNoVertex; u = rtree.parent[u]) {
-    if (u == v || banned[u]) {
-      *simple = false;
-      return {};
-    }
-    if (u == t) break;
-  }
-  sssp::Path suffix;
-  suffix.verts.push_back(v);
-  for (vid_t u = w0; u != kNoVertex; u = rtree.parent[u]) {
-    suffix.verts.push_back(u);
-    if (u == t) break;
-  }
-  if (suffix.verts.back() != t) {
-    *simple = false;
-    return {};
-  }
-  suffix.dist = fwd.edge_weight(via_edge) + rtree.dist[w0];
-  return suffix;
-}
-
 }  // namespace
 
 KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
@@ -83,9 +55,8 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pool;
   std::unordered_set<sssp::Path, sssp::PathHash> seen;
   std::vector<std::uint8_t> mask(static_cast<size_t>(n), 0);
-  // PNC repairs tentative entries serially — one arena-backed scratch reuses
-  // dist/parent across every repair SSSP.
-  std::vector<sssp::SsspScratch> repair_scratch(1);
+  // PNC repairs tentative entries serially, all in one workspace.
+  sssp::DijkstraWorkspace repair_ws;
   accepted.push_back({first, 0});
   seen.insert(first);
 
@@ -99,23 +70,14 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
       for (int j = 0; j < i; ++j) mask[p[static_cast<size_t>(j)]] = 1;
       const auto banned = banned_edges_at(g.fwd, accepted, p, i);
       // Lower bound: cheapest allowed out-edge + reverse-tree distance.
-      eid_t best_e = kNoEdge;
-      weight_t best = kInfDist;
-      for (eid_t e = g.fwd.edge_begin(v); e < g.fwd.edge_end(v); ++e) {
-        if (!g.fwd.edge_alive(e) || banned.count(e)) continue;
-        const vid_t w = g.fwd.edge_target(e);
-        if (!g.fwd.vertex_alive(w) || mask[w] || w == v) continue;
-        if (rtree.dist[w] == kInfDist) continue;
-        const weight_t bound = g.fwd.edge_weight(e) + rtree.dist[w];
-        if (bound < best) {
-          best = bound;
-          best_e = e;
-        }
-      }
+      const eid_t best_e =
+          cheapest_tree_exit(g.fwd, rtree, v, mask.data(), banned);
       if (best_e != kNoEdge) {
-        bool simple = false;
-        sssp::Path suffix =
-            tree_suffix(rtree, g.fwd, v, best_e, t, mask.data(), &simple);
+        const weight_t best =
+            g.fwd.edge_weight(best_e) + rtree.dist[g.fwd.edge_target(best_e)];
+        const sssp::Path suffix =
+            tree_suffix(g.fwd, rtree, v, best_e, t, mask.data());
+        const bool simple = !suffix.empty();
         Entry entry;
         entry.dev_index = i;
         if (simple) {
@@ -145,7 +107,7 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
             // the tentative's lower bound precedes both. Often the repair
             // pops after this exact path was already accepted, turning a
             // full SSSP into a no-op.
-            eid_t alt_e = kNoEdge;
+            sssp::Path alt_suffix;
             weight_t alt = kInfDist;
             for (eid_t e = g.fwd.edge_begin(v); e < g.fwd.edge_end(v); ++e) {
               if (e == best_e || !g.fwd.edge_alive(e) || banned.count(e))
@@ -155,17 +117,14 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
               if (rtree.dist[w] == kInfDist) continue;
               const weight_t bound = g.fwd.edge_weight(e) + rtree.dist[w];
               if (bound >= alt) continue;
-              bool alt_simple = false;
-              tree_suffix(rtree, g.fwd, v, e, t, mask.data(), &alt_simple);
-              if (alt_simple) {
+              sssp::Path simple_alt =
+                  tree_suffix(g.fwd, rtree, v, e, t, mask.data());
+              if (!simple_alt.empty()) {
                 alt = bound;
-                alt_e = e;
+                alt_suffix = std::move(simple_alt);
               }
             }
-            if (alt_e != kNoEdge) {
-              bool ok = false;
-              sssp::Path alt_suffix =
-                  tree_suffix(rtree, g.fwd, v, alt_e, t, mask.data(), &ok);
+            if (!alt_suffix.empty()) {
               Entry extra;
               extra.tentative = false;
               extra.dev_index = i;
@@ -199,17 +158,10 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
       for (int j = 0; j < i; ++j)
         mask[top.prefix[static_cast<size_t>(j)]] = 1;
       const auto banned = banned_edges_at(g.fwd, accepted, top.prefix, i);
-      sssp::DijkstraOptions dj;
-      dj.target = t;
-      dj.bans = {mask.data(), &banned};
       result.stats.sssp_calls++;
-      sssp::Path suffix;
-      if (opts.base.scratch_arena) {
-        suffix = sssp::dijkstra_path(g.fwd, v, dj, repair_scratch[0]);
-      } else {
-        auto r = sssp::dijkstra(g.fwd, v, dj);
-        suffix = sssp::path_from_parents(r, v, t);
-      }
+      const sssp::Path suffix = detail::restricted_suffix(
+          g.fwd, t, {v, mask.data(), banned, i, repair_ws, nullptr},
+          KspOptions{});
       for (int j = 0; j < i; ++j)
         mask[top.prefix[static_cast<size_t>(j)]] = 0;
       if (suffix.empty()) continue;
@@ -231,7 +183,6 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
 
   result.paths.reserve(accepted.size());
   for (Candidate& c : accepted) result.paths.push_back(std::move(c.path));
-  detail::count_arena_reuse(repair_scratch);
   return result;
 }
 

@@ -8,7 +8,6 @@
 #include "ksp/yen_engine.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/resumable_dijkstra.hpp"
-#include "sssp/scratch.hpp"
 
 namespace peek::ksp {
 
@@ -66,9 +65,6 @@ struct SidetrackRun {
   const SidetrackOptions& opts;
   TreePool pool;
   std::vector<std::uint8_t> mask;  // scratch vertex-ban mask
-  /// Arena-backed scratch for the serial Yen-fallback repair SSSPs (one
-  /// element — SB/SB* run single-threaded).
-  std::vector<sssp::SsspScratch> repair_scratch{1};
   KspStats stats;
 
   SidetrackRun(const BiView& bg, vid_t src, vid_t tgt,
@@ -115,117 +111,42 @@ struct SidetrackRun {
 
 KspResult sb_ksp(const BiView& g, vid_t s, vid_t t,
                  const SidetrackOptions& opts) {
-  KspResult result;
   const vid_t n = g.fwd.num_vertices();
-  if (s < 0 || s >= n || t < 0 || t >= n || opts.base.k <= 0) return result;
+  if (s < 0 || s >= n || t < 0 || t >= n || opts.base.k <= 0) return {};
 
+  // ONE reverse tree per extracted path (the Kurz–Mutzel economy): it is
+  // computed on G minus the path's pre-deviation prefix P[0..d-1]. The root
+  // tree (empty red set) also gives the shortest path.
   SidetrackRun run(g, s, t, opts);
-
-  // Root tree (empty red set) and the shortest path.
-  TreePtr root = run.tree_for({});
-  sssp::Path first = sssp::path_from_reverse_parents(*root, s, t);
-  if (first.empty()) return result;
-
-  std::vector<Candidate> accepted;
-  accepted.push_back({std::move(first), 0});
-  CandidateSet cands;
-
-  // no-cancel: literature baseline (bench/test comparisons only, never on
-  // the serving path); its options carry no CancelToken by design
-  while (static_cast<int>(accepted.size()) < opts.base.k) {
-    const Candidate cur = accepted.back();
-    const auto& p = cur.path.verts;
-    const int len = static_cast<int>(p.size());
-    const std::vector<weight_t> cum = detail::cumulative_distances(g.fwd, p);
-
-    // ONE reverse tree per extracted path (the Kurz–Mutzel economy): it is
-    // computed on G minus the path's pre-deviation prefix P[0..d-1]. For
-    // later deviation positions i > d the tree may route through the newly
-    // red vertices P[d..i-1]; the per-candidate validity walk catches that
-    // and falls back to a restricted SSSP ("repair").
-    const std::vector<vid_t> tree_red(p.begin(), p.begin() + cur.dev_index);
-    TreePtr tree = run.tree_for(tree_red);
-
-    // no-cancel: deviation scan of one extracted path; same baseline-only
-    // caveat as the enclosing loop
-    for (int i = cur.dev_index; i < len - 1; ++i) {
-      const vid_t v = p[static_cast<size_t>(i)];
-      const auto banned = detail::banned_edges_at(g.fwd, accepted, p, i);
-
-      for (int j = 0; j < i; ++j) run.mask[p[static_cast<size_t>(j)]] = 1;
-      // argmin over allowed out-edges of w(e) + tree distance.
-      eid_t best_e = kNoEdge;
-      weight_t best = kInfDist;
-      for (eid_t e = g.fwd.edge_begin(v); e < g.fwd.edge_end(v); ++e) {
-        if (!g.fwd.edge_alive(e) || banned.count(e)) continue;
-        const vid_t w = g.fwd.edge_target(e);
-        if (!g.fwd.vertex_alive(w) || run.mask[w] || w == v) continue;
-        if (tree->dist[w] == kInfDist) continue;
-        const weight_t bound = g.fwd.edge_weight(e) + tree->dist[w];
-        if (bound < best) {
-          best = bound;
-          best_e = e;
-        }
-      }
-      sssp::Path suffix;
-      if (best_e != kNoEdge) {
-        // Validity walk: the tree avoids P[0..d-1] by construction, but may
-        // hit v or one of the red-after-d vertices P[d..i-1].
-        const vid_t w0 = g.fwd.edge_target(best_e);
-        bool valid = true;
-        for (vid_t u = w0; u != kNoVertex; u = tree->parent[u]) {
-          if (u == v || run.mask[u]) {
-            valid = false;
-            break;
-          }
-          if (u == t) break;
-        }
-        if (valid) {
-          run.stats.tree_shortcuts++;
-          suffix.verts.push_back(v);
-          for (vid_t u = w0; u != kNoVertex; u = tree->parent[u]) {
-            suffix.verts.push_back(u);
-            if (u == t) break;
-          }
-          suffix.dist = best;
-          if (suffix.verts.back() != t) suffix.verts.clear();
-        } else {
-          // Repair: restricted SSSP from v (Yen fallback).
-          run.stats.sssp_calls++;
-          sssp::DijkstraOptions dj;
-          dj.target = t;
-          dj.bans = {run.mask.data(), &banned};
-          if (opts.base.scratch_arena) {
-            suffix = sssp::dijkstra_path(g.fwd, v, dj, run.repair_scratch[0]);
-          } else {
-            auto r = sssp::dijkstra(g.fwd, v, dj);
-            suffix = sssp::path_from_parents(r, v, t);
-          }
-        }
-      }
-      for (int j = 0; j < i; ++j) run.mask[p[static_cast<size_t>(j)]] = 0;
-      if (suffix.empty()) continue;
-
-      Candidate cand;
-      cand.dev_index = i;
-      cand.path.verts.assign(p.begin(), p.begin() + i);
-      cand.path.verts.insert(cand.path.verts.end(), suffix.verts.begin(),
-                             suffix.verts.end());
-      cand.path.dist = cum[static_cast<size_t>(i)] + suffix.dist;
-      cands.push(std::move(cand.path), cand.dev_index);
+  TreePtr tree = run.tree_for({});
+  detail::EngineHooks hooks;
+  hooks.on_path_accepted = [&](const sssp::Path& p, int dev_index) {
+    tree = run.tree_for({p.verts.begin(), p.verts.begin() + dev_index});
+  };
+  // For deviation positions i > d the tree may route through the newly red
+  // vertices P[d..i-1]; the validity walk catches that and falls back to a
+  // restricted SSSP ("repair"), serial like the rest of this baseline.
+  detail::DeviationSolver solver = [&](const detail::DeviationContext& ctx) {
+    const vid_t v = ctx.deviation_vertex;
+    const eid_t exit = detail::cheapest_tree_exit(
+        g.fwd, *tree, v, ctx.banned_vertices, ctx.banned_edges);
+    if (exit == kNoEdge) return sssp::Path{};
+    sssp::Path suffix =
+        detail::tree_suffix(g.fwd, *tree, v, exit, t, ctx.banned_vertices);
+    if (!suffix.empty()) {
+      run.stats.tree_shortcuts++;
+      return suffix;
     }
-
-    auto next = cands.pop_min();
-    if (!next) break;
-    accepted.push_back(std::move(*next));
-  }
-
-  result.paths.reserve(accepted.size());
-  for (Candidate& c : accepted) result.paths.push_back(std::move(c.path));
-  run.stats.candidates_generated = static_cast<int>(cands.total_generated());
+    run.stats.sssp_calls++;
+    return detail::restricted_suffix(g.fwd, t, ctx, KspOptions{});
+  };
+  detail::DeviationEngine engine(g.fwd, s, t, solver, /*parallel=*/false,
+                                 hooks);
+  engine.start(sssp::path_from_reverse_parents(*tree, s, t));
+  KspResult result = detail::drain(engine, opts.base);
+  run.stats.candidates_generated = result.stats.candidates_generated;
   run.stats.trees_stored = run.pool.peak();
   result.stats = run.stats;
-  detail::count_arena_reuse(run.repair_scratch);
   return result;
 }
 

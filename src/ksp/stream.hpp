@@ -5,40 +5,56 @@
 // availability of the paths in increasing order") — and stops paying for
 // deviations the moment it stops asking.
 //
-// Internally an incremental OptYen: a static reverse shortest-path tree
-// answers deviations when its path avoids the prefix; otherwise a restricted
-// Dijkstra runs. Calling next() K times costs the same as optyen_ksp with
-// that K (plus nothing for paths never requested).
+// A stream is OptYen made incremental: the shared deviation engine
+// (ksp/yen_engine) driven by OptYen's solver — a static reverse
+// shortest-path tree answers deviations when its path avoids the prefix;
+// otherwise a restricted SSSP runs. optyen_ksp is this stream drained to K,
+// so calling next() K times is optyen_ksp with that K (plus nothing for
+// paths never requested).
 #pragma once
 
+#include <memory>
 #include <optional>
 
-#include "ksp/path_set.hpp"
-#include "sssp/dijkstra.hpp"
-#include "sssp/view.hpp"
+#include "ksp/optyen.hpp"
 
 namespace peek::ksp {
+
+namespace detail {
+class DeviationEngine;  // ksp/yen_engine.hpp
+}  // namespace detail
 
 class KspStream {
  public:
   /// The BiView must outlive the stream. Prefer the CsrGraph overload unless
-  /// streaming over a compacted view.
-  KspStream(const sssp::BiView& g, vid_t s, vid_t t);
+  /// streaming over a compacted view. Of `opts` only `parallel` and `delta`
+  /// apply (the two-level strategy of optyen_ksp); K and cancellation are
+  /// per next() call.
+  KspStream(const sssp::BiView& g, vid_t s, vid_t t,
+            const KspOptions& opts = {});
   KspStream(const graph::CsrGraph& g, vid_t s, vid_t t);
 
   /// Warm-start: adopt a precomputed reverse shortest-path tree from t
   /// (dist[v] = shortest v->t distance, parent[v] = v's successor toward t)
-  /// instead of running the priming SSSP on the first next() call. The
-  /// serving layer (serve/query_engine) uses this to recycle the pruning
-  /// stage's to-target tree, translated into compacted ids.
-  KspStream(const sssp::BiView& g, vid_t s, vid_t t, sssp::SsspResult rtree);
+  /// instead of running the priming SSSP on the first next() call. PeeK's
+  /// KSP stage and the serving layer (serve/query_engine) use this to
+  /// recycle the pruning stage's to-target tree, translated into compacted
+  /// ids (core::compacted_reverse_tree).
+  KspStream(const sssp::BiView& g, vid_t s, vid_t t, sssp::SsspResult rtree,
+            const KspOptions& opts = {});
+
+  ~KspStream();
+  // The engine's solver holds the stream's tree and counters by address.
+  KspStream(const KspStream&) = delete;
+  KspStream& operator=(const KspStream&) = delete;
 
   /// The next shortest simple path, or nullopt when the path space is
   /// exhausted — or when `cancel` tripped mid-deviation. The i-th successful
   /// call returns the i-th shortest path. A cancelled call leaves the stream
   /// valid and NOT exhausted (check exhausted() to tell the cases apart): any
-  /// partially-expanded round is simply re-run by the next un-cancelled call,
-  /// with the candidate pool deduplicating repeated pushes.
+  /// partially-expanded round is simply re-run by the next un-cancelled call.
+  /// Every call adds its work to the ksp.* registry counters, as optyen_ksp
+  /// does.
   std::optional<sssp::Path> next(const fault::CancelToken* cancel = nullptr);
 
   /// True when the path space is genuinely dry (nullopt from next() without
@@ -55,25 +71,24 @@ class KspStream {
   /// has_reverse_tree() — i.e. after warm-start construction or the first
   /// successful next().
   const sssp::SsspResult& reverse_tree() const { return rtree_; }
-  bool has_reverse_tree() const { return have_rtree_ || primed_; }
+  bool has_reverse_tree() const { return have_rtree_; }
 
  private:
-  /// Returns false when `cancel` tripped before the round finished — some
-  /// deviations may be missing, so the caller must not pop a candidate.
-  bool expand_deviations(const Candidate& cur,
-                         const fault::CancelToken* cancel);
+  /// Computes the reverse tree unless warm-started, then seeds the engine
+  /// with the tree path s->t. False when `cancel` cut the SSSP short.
+  bool prime(const fault::CancelToken* cancel);
 
   sssp::BiView g_;
   vid_t s_, t_;
+  KspOptions opts_;
   sssp::SsspResult rtree_;
-  std::vector<Candidate> accepted_;
-  CandidateSet cands_;
-  std::vector<std::uint8_t> mask_;
+  bool have_rtree_ = false;
+  detail::OptYenCounts counts_;
+  int priming_sssps_ = 0;
+  std::unique_ptr<detail::DeviationEngine> engine_;
   std::vector<sssp::Path> produced_;
   KspStats stats_;
-  bool primed_ = false;
   bool exhausted_ = false;
-  bool have_rtree_ = false;  // warm-start constructor supplied rtree_
 };
 
 }  // namespace peek::ksp

@@ -700,22 +700,9 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
   cg->warm_reverse();  // the stream's reverse view, built once here
 
   // Recycle the pruning stage's reverse tree as the stream's warm-start
-  // tree, translated into compacted ids. Sound: for every kept v, the
-  // shortest v->t path survives pruning vertex-by-vertex and edge-by-edge
-  // (for u on it, spSrc[u] + spTgt[u] <= spSrc[v] + spTgt[v] <= b by
-  // subpath optimality, and each edge obeys both §4 edge rules), so the
-  // tree is a valid — and distance-identical — reverse SP tree of the
-  // compacted graph.
-  const vid_t n_new = cg->num_vertices();
-  sssp::SsspResult rtree;
-  rtree.dist.assign(static_cast<size_t>(n_new), kInfDist);
-  rtree.parent.assign(static_cast<size_t>(n_new), kNoVertex);
-  for (vid_t v = 0; v < n_new; ++v) {
-    const vid_t old = regen.map.to_old(v);
-    rtree.dist[v] = pruned.to_target.dist[old];
-    const vid_t par = pruned.to_target.parent[old];
-    rtree.parent[v] = par == kNoVertex ? kNoVertex : regen.map.to_new(par);
-  }
+  // tree, translated into compacted ids — exactly as core::peek_ksp does.
+  sssp::SsspResult rtree =
+      core::compacted_reverse_tree(pruned.to_target, regen.map);
 
   snap->graph = cg;
   snap->map = std::move(regen.map);

@@ -193,11 +193,18 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// The K shortest simple paths from s to t (identical to
-  /// core::peek_ksp(g, s, t, {.k = k, ...}).ksp.paths — see
-  /// tests/test_serve.cpp for the bit-identity property). Never throws for
-  /// admission, deadline, or injected-fault reasons: every such outcome is a
-  /// typed ServeResult::status.
+  /// The K shortest simple paths from s to t. They are vertex-identical to
+  /// core::peek_ksp(g, s, t, {.k = k, .compaction = kRegeneration, ...})
+  /// whenever the snapshot answering them was pruned with a budget of
+  /// exactly k (a miss prunes with max(k, k_budget_floor) rounded up to a
+  /// power of two): both run the same prune, the same regeneration and the
+  /// same OptYen stream warm-started from the same reverse tree. Otherwise
+  /// they have peek_ksp's distances, and its paths unless two path lengths
+  /// tie; under ties the answer can even depend on the cache history (K=16
+  /// cut from a K=64 snapshot may differ from a fresh engine's K=16).
+  /// tests/test_serve.cpp checks both. Never throws for admission,
+  /// deadline, or injected-fault reasons: every such outcome is a typed
+  /// ServeResult::status.
   ServeResult query(vid_t s, vid_t t, int k, const QueryOptions& qopts = {});
 
   /// Degraded-only lookup: answers from already-materialized cached paths

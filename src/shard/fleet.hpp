@@ -9,9 +9,11 @@
 // ArtifactCache, admission slots, warm-restart state), its own bounded
 // request queue, and its own worker threads. The graph itself is replicated
 // (every replica serves the full CSR — it is the caches that the router
-// partitions), so any replica's answer to (s, t, K) is bit-identical to
-// single-engine core::peek_ksp; hedging, failover and healing can therefore
-// never change an answer, only who computes it.
+// partitions), so any replica's answer to (s, t, K) has single-engine
+// core::peek_ksp's distances, and its paths unless two path lengths tie
+// (serve::QueryEngine::query states when it is vertex-identical). Hedging,
+// failover and healing can therefore change only who computes an answer —
+// and, under ties, which of the equally long paths it holds.
 //
 // Query lifecycle (see the §12 state machine):
 //   route    — ShardRouter::route(s, t) picks the home shard; a round-robin
@@ -162,9 +164,11 @@ class ShardFleet {
   ShardFleet(const ShardFleet&) = delete;
   ShardFleet& operator=(const ShardFleet&) = delete;
 
-  /// The K shortest simple paths from s to t, bit-identical to
-  /// core::peek_ksp whenever result.status is kOk and not degraded
-  /// (tests/test_shard.cpp FleetBitIdentity, HedgeStormBitIdentity).
+  /// The K shortest simple paths from s to t, with core::peek_ksp's
+  /// distances — and its paths unless two lengths tie — whenever
+  /// result.status is kOk and not degraded (tests/test_shard.cpp
+  /// FleetBitIdentity, HedgeStormBitIdentity; serve::QueryEngine::query
+  /// gives the exact rule).
   FleetResult query(vid_t s, vid_t t, int k,
                     const serve::QueryOptions& qopts = {});
 

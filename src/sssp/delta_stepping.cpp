@@ -60,29 +60,19 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
   };
   push_bucket(source, 0);
 
-  // A unit of relaxation work: one vertex's edges, or a fixed-size slice of
-  // a high-degree vertex's edges when tiling splits it (deltaTile).
-  struct EdgeTile {
-    vid_t u;
-    eid_t begin, end;
-  };
-  const auto tile_size =
-      static_cast<eid_t>(opts.tile_size > 0 ? opts.tile_size : 256);
-  std::vector<EdgeTile> tiles;  // reused across phases
-
   auto relax_edges = [&](const std::vector<vid_t>& frontier, bool light,
                          std::vector<vid_t>& out) {
     // Per-thread request buffers avoid contention on `out`.
     const int nt = opts.parallel ? par::max_threads() : 1;
     std::vector<std::vector<vid_t>> local(static_cast<size_t>(nt));
-    auto relax_range = [&](vid_t u, eid_t e_begin, eid_t e_end) {
+    auto relax_vertex = [&](vid_t u) {
       const weight_t du = dist[u].load(std::memory_order_relaxed);
       // In serial mode thread_id() may still be nonzero (this SSSP can run
       // inside an outer parallel region); always use slot 0 then.
       std::vector<vid_t>& mine =
           local[opts.parallel ? static_cast<size_t>(par::thread_id()) : 0];
       std::int64_t relaxed = 0, improved = 0;
-      for (eid_t e = e_begin; e < e_end; ++e) {
+      for (eid_t e = view.edge_begin(u); e < view.edge_end(u); ++e) {
         if (!view.edge_alive(e) || opts.bans.edge_banned(e)) continue;
         const weight_t w = view.edge_weight(e);
         if (light != (w <= delta)) continue;
@@ -97,39 +87,11 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
       PEEK_COUNT_ADD("sssp.delta.relaxed_edges", relaxed);
       PEEK_COUNT_ADD("sssp.delta.improved", improved);
     };
-    // Tiling exists to share frontier hubs across workers; with one worker
-    // there is nothing to balance and the tile build is pure overhead.
-    const bool tile = opts.tiled && opts.parallel &&
-                      (opts.tile_single_worker || par::max_threads() > 1);
-    if (tile) {
-      // deltaTile: one work item per <= tile_size edges, so a frontier hub
-      // is shared across workers instead of serializing the phase.
-      tiles.clear();
-      for (vid_t u : frontier) {
-        const eid_t lo = view.edge_begin(u), hi = view.edge_end(u);
-        if (hi - lo <= tile_size) {
-          tiles.push_back({u, lo, hi});
-          continue;
-        }
-        for (eid_t e = lo; e < hi; e += tile_size)
-          tiles.push_back({u, e, std::min<eid_t>(e + tile_size, hi)});
-      }
-      PEEK_COUNT_ADD("sssp.tiles", tiles.size());
-      par::parallel_for_dynamic(
-          size_t{0}, tiles.size(),
-          [&](size_t i) {
-            const EdgeTile& tl = tiles[i];
-            relax_range(tl.u, tl.begin, tl.end);
-          },
-          /*chunk=*/4);
-    } else if (opts.parallel) {
-      par::parallel_for_dynamic(size_t{0}, frontier.size(), [&](size_t i) {
-        const vid_t u = frontier[i];
-        relax_range(u, view.edge_begin(u), view.edge_end(u));
-      });
+    if (opts.parallel) {
+      par::parallel_for_dynamic(size_t{0}, frontier.size(),
+                                [&](size_t i) { relax_vertex(frontier[i]); });
     } else {
-      for (const vid_t u : frontier)
-        relax_range(u, view.edge_begin(u), view.edge_end(u));
+      for (const vid_t u : frontier) relax_vertex(u);
     }
     for (auto& buf : local) out.insert(out.end(), buf.begin(), buf.end());
   };

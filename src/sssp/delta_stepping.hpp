@@ -17,20 +17,6 @@ struct DeltaSteppingOptions {
                              // exceeds dist[target]
   Bans bans;
   bool parallel = true;  // false = exact same algorithm, serial loops
-  /// Edge tiling (the lonestar `deltaTile` variant): relaxation of a vertex
-  /// whose degree exceeds `tile_size` is split into fixed-size edge tiles so
-  /// dynamic scheduling load-balances skewed frontiers — one hub no longer
-  /// serializes a whole phase behind a single worker. Distances and parents
-  /// are bit-identical either way (relaxations are commutative atomic-min
-  /// updates; parents come from the deterministic post-sweep). Only
-  /// meaningful when `parallel`.
-  bool tiled = true;
-  int tile_size = 256;  // edges per tile (also the degree split threshold)
-  /// Tile even when the parallel backend has a single worker. With one
-  /// worker there is nothing to balance and the tile build is pure
-  /// overhead, so `tiled` alone skips it; bit-identity tests set this to
-  /// exercise the tile-splitting machinery on any machine.
-  bool tile_single_worker = false;
   /// Cooperative cancellation, polled at bucket/phase boundaries (the
   /// fork/join grain — never inside a parallel region). Null = never.
   const fault::CancelToken* cancel = nullptr;

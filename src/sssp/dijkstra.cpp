@@ -1,6 +1,6 @@
 #include "sssp/dijkstra.hpp"
 
-#include <queue>
+#include <algorithm>
 
 #include "obs/metrics.hpp"
 
@@ -8,36 +8,44 @@ namespace peek::sssp {
 
 namespace {
 
-struct HeapEntry {
-  weight_t dist;
-  vid_t v;
-  bool operator>(const HeapEntry& o) const { return dist > o.dist; }
+/// Min-heap order on distance only, as std::priority_queue with
+/// std::greater<> would give. A function object, not a function pointer, so
+/// the heap algorithms inline it.
+struct HeapAfter {
+  bool operator()(const DijkstraHeapEntry& a,
+                  const DijkstraHeapEntry& b) const {
+    return a.dist > b.dist;
+  }
 };
-
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
 
 }  // namespace
 
-SsspResult dijkstra(const GraphView& view, vid_t source,
-                    const DijkstraOptions& opts) {
+const SsspResult& dijkstra(const GraphView& view, vid_t source,
+                           const DijkstraOptions& opts, DijkstraWorkspace& ws) {
   const vid_t n = view.num_vertices();
-  SsspResult r;
+  SsspResult& r = ws.tree;
   r.dist.assign(static_cast<size_t>(n), kInfDist);
   r.parent.assign(static_cast<size_t>(n), kNoVertex);
+  r.status = fault::Status::kOk;
+  auto& heap = ws.heap;
+  heap.clear();
   if (source < 0 || source >= n) return r;
   if (!view.vertex_alive(source) || opts.bans.vertex_banned(source)) return r;
 
-  // Hot loop: counts accumulate in locals, one sharded add on exit.
+  // Hot loop: counts accumulate in locals, one sharded add on exit; the
+  // arrays go through locals so their pointers stay in registers across
+  // the heap pushes.
   std::int64_t settled = 0, relaxed = 0, improved = 0;
   fault::CancelPoll poll(opts.cancel);
-  MinHeap heap;
-  r.dist[source] = 0;
-  heap.push({0, source});
+  weight_t* const dist = r.dist.data();
+  vid_t* const parent = r.parent.data();
+  dist[source] = 0;
+  heap.push_back({0, source});
   while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > r.dist[u]) continue;  // stale lazy-deleted entry
+    const auto [d, u] = heap.front();
+    std::pop_heap(heap.begin(), heap.end(), HeapAfter{});
+    heap.pop_back();
+    if (d > dist[u]) continue;  // stale lazy-deleted entry
     if (poll.should_stop()) {
       r.status = poll.why();
       break;
@@ -50,10 +58,11 @@ SsspResult dijkstra(const GraphView& view, vid_t source,
       if (!view.vertex_alive(v) || opts.bans.vertex_banned(v)) continue;
       relaxed++;
       const weight_t nd = d + view.edge_weight(e);
-      if (nd < r.dist[v]) {
-        r.dist[v] = nd;
-        r.parent[v] = u;
-        heap.push({nd, v});
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        parent[v] = u;
+        heap.push_back({nd, v});
+        std::push_heap(heap.begin(), heap.end(), HeapAfter{});
         improved++;
       }
     }
@@ -63,6 +72,13 @@ SsspResult dijkstra(const GraphView& view, vid_t source,
   PEEK_COUNT_ADD("sssp.dijkstra.relaxed_edges", relaxed);
   PEEK_COUNT_ADD("sssp.dijkstra.improved", improved);
   return r;
+}
+
+SsspResult dijkstra(const GraphView& view, vid_t source,
+                    const DijkstraOptions& opts) {
+  DijkstraWorkspace ws;
+  dijkstra(view, source, opts, ws);
+  return std::move(ws.tree);
 }
 
 SsspResult reverse_dijkstra(const CsrGraph& g, vid_t target,

@@ -47,6 +47,28 @@ struct DijkstraOptions {
 SsspResult dijkstra(const GraphView& view, vid_t source,
                     const DijkstraOptions& opts = {});
 
+/// One entry of Dijkstra's lazy-deletion binary heap.
+struct DijkstraHeapEntry {
+  weight_t dist;
+  vid_t v;
+};
+
+/// Caller-owned storage for back-to-back Dijkstra runs — the KSP engine's
+/// deviation SSSPs, thousands per query on one compacted graph. A run
+/// refills `tree` and clears `heap` but keeps both capacities, so it pays
+/// one sequential fill instead of two allocations, their page faults and
+/// the heap's regrowth. Owned by one thread at a time.
+struct DijkstraWorkspace {
+  SsspResult tree;  // the last run's result
+  std::vector<DijkstraHeapEntry> heap;
+};
+
+/// dijkstra() computed in `ws`; returns `ws.tree`, valid until the next run
+/// in the same workspace. Bit-identical to the allocating overload (it is
+/// the same loop).
+const SsspResult& dijkstra(const GraphView& view, vid_t source,
+                           const DijkstraOptions& opts, DijkstraWorkspace& ws);
+
 /// SSSP on the reverse graph: result.dist[v] is the shortest distance from v
 /// TO `target` in the original orientation; parent[v] is v's successor on
 /// that path (the reverse shortest-path tree of §4.1 / OptYen).

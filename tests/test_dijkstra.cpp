@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "graph/generators.hpp"
+#include "sssp/path.hpp"
 #include "test_util.hpp"
 
 namespace peek::sssp {
@@ -120,6 +123,59 @@ TEST(Dijkstra, ParentsFormShortestPathTree) {
     ASSERT_NE(e, kNoEdge);
     EXPECT_NEAR(r.dist[p] + g.edge_weight(e), r.dist[v], 1e-12);
   }
+}
+
+// The workspace overload is the same loop over caller-owned storage: it must
+// match the allocating overload bit for bit, whatever the workspace ran
+// before — another graph, another size, bans or an unreachable target.
+
+void expect_same_tree(const SsspResult& want, const SsspResult& got) {
+  EXPECT_EQ(want.dist, got.dist);  // bit-identical, not approximately equal
+  EXPECT_EQ(want.parent, got.parent);
+  EXPECT_EQ(want.status, got.status);
+}
+
+TEST(DijkstraWorkspace, MatchesAllocatingOverloadAcrossGraphSizes) {
+  DijkstraWorkspace ws;  // shared: every run re-sizes it for its graph
+  for (vid_t n : {250, 120, 400}) {
+    auto g = test::random_graph(n, n * 8, static_cast<std::uint64_t>(n));
+    GraphView view(g);
+    for (vid_t t = 1; t < 40; t += 7) {
+      DijkstraOptions opts;
+      opts.target = t;
+      const auto want = dijkstra(view, 0, opts);
+      expect_same_tree(want, dijkstra(view, 0, opts, ws));
+      EXPECT_EQ(path_from_parents(want, 0, t).verts,
+                path_from_parents(ws.tree, 0, t).verts);
+    }
+  }
+}
+
+TEST(DijkstraWorkspace, RespectsBans) {
+  auto g = test::random_graph(200, 200 * 8, 21);
+  GraphView view(g);
+  std::vector<std::uint8_t> banned(200, 0);
+  for (vid_t v = 3; v < 200; v += 5) banned[v] = 1;
+  std::unordered_set<eid_t> banned_edges{0, 5, 9, 42};
+  DijkstraOptions opts;
+  opts.target = 100;
+  opts.bans = {banned.data(), &banned_edges};
+  DijkstraWorkspace ws;
+  dijkstra(view, 1, {}, ws);  // a prior unrestricted run must not leak
+  expect_same_tree(dijkstra(view, 1, opts), dijkstra(view, 1, opts, ws));
+}
+
+TEST(DijkstraWorkspace, UnreachableAndInvalidTargets) {
+  auto g = from_edges(4, {{0, 1, 1.0}, {2, 3, 1.0}});
+  GraphView view(g);
+  DijkstraWorkspace ws;
+  DijkstraOptions opts;
+  opts.target = 3;  // other component
+  EXPECT_TRUE(path_from_parents(dijkstra(view, 0, opts, ws), 0, 3).empty());
+  opts.target = kNoVertex;  // no target: settles everything, no path to 3
+  EXPECT_TRUE(path_from_parents(dijkstra(view, 0, opts, ws), 0, 3).empty());
+  EXPECT_EQ(ws.tree.dist[1], 1.0);
+  EXPECT_EQ(dijkstra(view, -1, opts, ws).dist[0], kInfDist);  // invalid source
 }
 
 }  // namespace

@@ -364,6 +364,35 @@ TEST_F(RecoverTest, WarmRestartServesBitIdenticalAnswers) {
   po.k = 2;
   expect_exact_paths(rt.paths, core::peek_ksp(g, s, t + 1, po).ksp.paths);
   fs::remove_all(dir);
+
+  // Under ties: on a unit-weight grid many paths share each length, so the
+  // restored stream's extension matches only if it replays the original
+  // stream's tie-breaks — those of peek_ksp at the engine's prune budget.
+  const auto tie_dir = scratch_dir("warm_ties");
+  graph::WeightOptions unit;
+  unit.kind = graph::WeightKind::kUnit;
+  const auto grid = graph::grid(8, 8, unit);
+  const vid_t gs = 0, gt = 63;
+  po.k = 32;  // the engine's default budget floor
+  po.compaction = core::PeekOptions::Compaction::kRegeneration;
+  auto grid_truth = core::peek_ksp(grid, gs, gt, po).ksp.paths;
+  ASSERT_GE(grid_truth.size(), 6u);
+  grid_truth.resize(6);
+  serve::ServeOptions tie_so;
+  tie_so.snapshot_dir = tie_dir.string();
+  {
+    serve::QueryEngine a(grid, tie_so);
+    ASSERT_EQ(a.query(gs, gt, 3).status.code, fault::Status::kOk);
+    EXPECT_GT(a.persist(), 0);
+  }
+  serve::QueryEngine c(grid, tie_so);
+  EXPECT_GT(c.restored_artifacts(), 0);
+  auto g6 = c.query(gs, gt, 6);
+  ASSERT_EQ(g6.status.code, fault::Status::kOk);
+  EXPECT_TRUE(g6.snapshot_hit);
+  EXPECT_TRUE(g6.extended);
+  expect_exact_paths(g6.paths, grid_truth);
+  fs::remove_all(tie_dir);
 }
 
 TEST_F(RecoverTest, WarmRestartCanBeDisabled) {

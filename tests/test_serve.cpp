@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "compact/regeneration.hpp"
 #include "core/peek.hpp"
+#include "ksp/stream.hpp"
 #include "serve/query_engine.hpp"
 #include "sssp/dijkstra.hpp"
 #include "test_util.hpp"
@@ -191,6 +193,69 @@ TEST(QueryEngine, RandomizedBitIdentityAcrossAllServePaths) {
     }
   }
 }
+
+TEST(QueryEngine, MatchesPeekVertexForVertexUnderTies) {
+  // With the prune budget equal to K and regeneration compaction, an engine
+  // miss and core::peek_ksp run the same pipeline with the same warm-started
+  // OptYen stream, so even on unit weights — where many paths tie — they
+  // pick the same paths, not just the same distances.
+  core::PeekOptions po;
+  po.compaction = core::PeekOptions::Compaction::kRegeneration;
+  ServeOptions so;
+  so.k_budget_floor = 1;
+  for (const auto& [name, g] : test::tie_heavy_graphs()) {
+    for (const auto& [s, t] : test::spread_pairs(g.num_vertices(), 8)) {
+      for (int k : {8, 16}) {
+        SCOPED_TRACE(name + " " + std::to_string(s) + "->" +
+                     std::to_string(t) + " K=" + std::to_string(k));
+        QueryEngine engine(g, so);
+        po.k = k;
+        expect_identical(engine.query(s, t, k).paths,
+                         core::peek_ksp(g, s, t, po).ksp.paths);
+      }
+    }
+  }
+}
+
+#if PEEK_OBS_ENABLED
+TEST(QueryEngine, MissPublishesItsStreamsKspCounters) {
+  // A miss with K >= 2 runs deviations in the snapshot's stream; those
+  // count in ksp.deviation_sssp_calls and ksp.candidates_generated exactly
+  // as the stream's own stats say. The reference stream is rebuilt from the
+  // same public calls the engine makes.
+  auto g = test::random_graph(300, 2400, 4243);
+  const vid_t s = 3, t = 77;
+  const int k = 6;
+  core::PruneOptions po;
+  po.k = 8;  // the engine's budget: K rounded up to a power of two
+  const core::PruneResult pruned = core::k_upper_bound_prune(g, s, t, po);
+  auto regen = compact::regenerate(sssp::GraphView(g),
+                                   pruned.vertex_keep.data(), pruned.edge_keep,
+                                   {.parallel = false});
+  ksp::KspStream stream(
+      sssp::BiView::of(regen.graph), regen.map.to_new(s), regen.map.to_new(t),
+      core::compacted_reverse_tree(pruned.to_target, regen.map));
+  for (int i = 0; i < k; ++i) ASSERT_TRUE(stream.next().has_value());
+  const ksp::KspStats want = stream.stats();
+  ASSERT_GT(want.sssp_calls, 0);
+  ASSERT_GT(want.candidates_generated, 0);
+
+  auto counter = [](const char* name) {
+    return obs::MetricsRegistry::global().counter(name).value();
+  };
+  const auto sssps0 = counter("ksp.deviation_sssp_calls");
+  const auto cands0 = counter("ksp.candidates_generated");
+  ServeOptions so;
+  so.k_budget_floor = 1;
+  QueryEngine engine(g, so);
+  auto r = engine.query(s, t, k);
+  ASSERT_EQ(r.paths.size(), static_cast<size_t>(k));
+  EXPECT_FALSE(r.snapshot_hit);
+  EXPECT_EQ(counter("ksp.deviation_sssp_calls") - sssps0, want.sssp_calls);
+  EXPECT_EQ(counter("ksp.candidates_generated") - cands0,
+            want.candidates_generated);
+}
+#endif
 
 TEST(QueryEngine, ConcurrentDuplicateQueriesCoalesce) {
   auto g = test::random_graph(500, 5000, 31337);

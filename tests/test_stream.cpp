@@ -22,15 +22,26 @@ TEST(KspStream, ProducesPathsInOrder) {
 }
 
 TEST(KspStream, MatchesBatchOptYen) {
-  auto g = test::random_graph(100, 800, 921);
+  // optyen_ksp is this stream drained to K, so the two agree vertex for
+  // vertex — also on unit-weight graphs, where lengths tie everywhere and
+  // any second implementation would break ties its own way.
+  std::vector<test::NamedGraph> graphs;
+  graphs.push_back({"random100", test::random_graph(100, 800, 921)});
+  for (auto& ng : test::tie_heavy_graphs()) graphs.push_back(std::move(ng));
   KspOptions ko;
   ko.k = 12;
-  auto batch = optyen_ksp(g, 0, 50, ko);
-  KspStream stream(g, 0, 50);
-  for (const auto& expect : batch.paths) {
-    auto got = stream.next();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_NEAR(got->dist, expect.dist, 1e-9);
+  for (const auto& [name, g] : graphs) {
+    for (const auto& [s, t] : test::spread_pairs(g.num_vertices(), 8)) {
+      SCOPED_TRACE(name + " " + std::to_string(s) + "->" + std::to_string(t));
+      auto batch = optyen_ksp(g, s, t, ko);
+      KspStream stream(g, s, t);
+      for (const auto& expect : batch.paths) {
+        auto got = stream.next();
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->verts, expect.verts);
+        EXPECT_EQ(got->dist, expect.dist);
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -68,6 +69,36 @@ inline graph::CsrGraph random_graph(vid_t n, eid_t m, std::uint64_t seed,
                         : graph::WeightKind::kUniform01;
   w.seed = seed * 77 + 13;
   return graph::erdos_renyi(n, m, w, seed);
+}
+
+/// A graph with a name for failure messages.
+struct NamedGraph {
+  std::string name;
+  graph::CsrGraph g;
+};
+
+/// Unit-weight graphs on which many s-t paths tie in length: the cases in
+/// which two KSP implementations can agree on every distance yet pick
+/// different paths.
+inline std::vector<NamedGraph> tie_heavy_graphs() {
+  graph::WeightOptions unit;
+  unit.kind = graph::WeightKind::kUnit;
+  std::vector<NamedGraph> out;
+  out.push_back({"grid8x8", graph::grid(8, 8, unit)});
+  out.push_back({"er60", graph::erdos_renyi(60, 240, unit, 5)});
+  out.push_back({"smallworld60", graph::small_world(60, 4, 0.2, unit, 7)});
+  return out;
+}
+
+/// `count` distinct-endpoint query pairs spread over vertices [0, n).
+inline std::vector<std::pair<vid_t, vid_t>> spread_pairs(vid_t n, int count) {
+  std::vector<std::pair<vid_t, vid_t>> out;
+  for (int i = 0; i < count; ++i) {
+    const vid_t s = static_cast<vid_t>((i * 7) % n);
+    const vid_t t = static_cast<vid_t>((n - 1 + n - (i * 5) % n) % n);
+    if (s != t) out.push_back({s, t});
+  }
+  return out;
 }
 
 /// Asserts every structural invariant of a KSP answer: simple paths, correct
