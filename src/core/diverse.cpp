@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "compact/regeneration.hpp"
+#include "core/peek.hpp"
 #include "ksp/stream.hpp"
 
 namespace peek::core {
@@ -42,7 +43,10 @@ DiverseResult diverse_ksp(const graph::CsrGraph& g, vid_t s, vid_t t,
     return result;
   }
 
-  ksp::KspStream stream(regen.graph, cs, ct);
+  // Warm start from the prune's reverse tree, as peek_ksp does: no second
+  // reverse SSSP on the compacted graph.
+  ksp::KspStream stream(sssp::BiView::of(regen.graph), cs, ct,
+                        compacted_reverse_tree(pruned.to_target, regen.map));
   while (static_cast<int>(result.paths.size()) < opts.k &&
          result.scanned < opts.max_scanned) {
     auto p = stream.next();

@@ -5,9 +5,10 @@
 // set overlaps every kept path by at most `max_similarity` (Jaccard).
 //
 // Implementation composes the library's pieces: K-upper-bound prune with a
-// scan budget, compact, then LAZILY stream ranked paths (ksp::KspStream)
-// over the compacted graph, filtering as they come — so the expensive deep
-// ranks are only generated while diversity is still unmet.
+// scan budget, compact, then LAZILY stream ranked paths (ksp::KspStream,
+// warm-started from the prune's reverse tree like peek_ksp) over the
+// compacted graph, filtering as they come — so the expensive deep ranks are
+// only generated while diversity is still unmet.
 #pragma once
 
 #include "core/upper_bound.hpp"

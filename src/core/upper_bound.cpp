@@ -1,8 +1,11 @@
 #include "core/upper_bound.hpp"
 
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <unordered_set>
+#include <utility>
 
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
@@ -15,6 +18,208 @@ namespace peek::core {
 
 namespace {
 
+/// Keep-side relative epsilon: vertices on the K-th path itself can sum
+/// spSrc[v] + spTgt[v] an ulp above b, because that sum associates
+/// differently than the walk that produced b — without slack the K-th path
+/// loses a vertex and the result silently degrades to the (K+1)-th.
+/// Under-pruning is sound (Theorem 4.3 bounds what may be deleted, not what
+/// must be); the tight-edge rule uses the same slack.
+weight_t keep_slack(weight_t b) { return b * 1e-12 + 1e-12; }
+
+/// spSrc[v] + spTgt[v] (Lemma 4.1), kInfDist when either half is missing.
+weight_t sum_at(const PruneResult& r, vid_t v) {
+  const weight_t a = r.from_source.dist[v];
+  const weight_t c = r.to_target.dist[v];
+  return a == kInfDist || c == kInfDist ? kInfDist : a + c;
+}
+
+/// Step 3, Algorithm 2 lines 5-9: fed candidates in increasing (sum, id)
+/// order, it keeps the K-th valid, distinct combined path's sum as b.
+class BoundScan {
+ public:
+  BoundScan(PruneResult& r, vid_t s, vid_t t, int k)
+      : r_(r), s_(s), t_(t), k_(k) {}
+
+  /// Inspects candidate `v` of sum `sum`. True once `v` completed the K-th
+  /// valid path; `bound()` is then its sum.
+  bool inspect(vid_t v, weight_t sum) {
+    r_.inspected_paths++;
+    if (!sssp::combined_path_is_simple(r_.from_source, r_.to_target, s_, v,
+                                       t_)) {
+      non_simple_++;
+      return false;
+    }
+    sssp::Path p = sssp::combined_path(r_.from_source, r_.to_target, s_, v, t_);
+    if (p.empty() || !distinct_.insert(std::move(p)).second) {
+      duplicates_++;
+      return false;
+    }
+    if (++valid_ != k_) return false;
+    b_ = sum;
+    return true;
+  }
+
+  weight_t bound() const { return b_; }
+
+  void publish() const {
+    PEEK_COUNT_ADD("prune.inspected_paths", r_.inspected_paths);
+    PEEK_COUNT_ADD("prune.valid_paths", valid_);
+    PEEK_COUNT_ADD("prune.non_simple_paths", non_simple_);
+    PEEK_COUNT_ADD("prune.duplicate_paths", duplicates_);
+  }
+
+ private:
+  PruneResult& r_;
+  const vid_t s_, t_;
+  const int k_;
+  std::unordered_set<sssp::Path, sssp::PathHash> distinct_;
+  int valid_ = 0;
+  std::int64_t non_simple_ = 0, duplicates_ = 0;
+  weight_t b_ = kInfDist;
+};
+
+/// The reference scan over a full reverse tree: every vertex's sum (data
+/// parallel, lines 3-4), sorted by (sum, id). Returns that order, every
+/// vertex, as the mark's candidates.
+std::vector<vid_t> full_scan(PruneResult& r, BoundScan& scan,
+                             const PruneOptions& opts) {
+  const vid_t n = static_cast<vid_t>(r.vertex_keep.size());
+  std::vector<weight_t> dist(static_cast<size_t>(n));
+  auto sum_body = [&](vid_t v) { dist[v] = sum_at(r, v); };
+  if (opts.parallel) par::parallel_for(vid_t{0}, n, sum_body);
+  else for (vid_t v = 0; v < n; ++v) sum_body(v);
+  std::vector<vid_t> order = par::sort_permutation(dist);
+  fault::CancelPoll poll(opts.cancel);
+  for (vid_t v : order) {
+    if (dist[v] == kInfDist) break;  // only unreachable remain
+    if (poll.should_stop()) {
+      r.status = poll.why();
+      break;
+    }
+    if (scan.inspect(v, dist[v])) break;
+  }
+  return order;
+}
+
+/// Steps 1-3 for spTgt without a full reverse SSSP: A* from t over the
+/// reverse graph, keyed by spTgt + spSrc, with the scan fed as it goes.
+/// Returns the settled vertices, the only ones whose sum is finite here.
+///
+/// Soundness and exactness (DESIGN.md §5). spSrc is a consistent potential
+/// on reverse edges: spSrc[u] <= spSrc[v] + w(v,u) for every edge v->u, so
+/// each relaxation's reduced cost is >= 0. Hence the search settles
+/// vertices in nondecreasing key order, each with its exact spTgt, and the
+/// frontier's least key lower-bounds the sum of every unsettled vertex: any
+/// such x has a vertex y on its shortest x->t suffix in the frontier, and
+/// sum(y) <= sum(x) by subpath optimality. Vertices with spSrc = ∞ have
+/// infinite sums and lie on no finite sum's suffix, so they are skipped.
+///
+/// The scan therefore sees every vertex of sum below the frontier: a
+/// settled candidate is inspected, in (sum, id) order, once the frontier
+/// has passed its sum — so the scan visits exactly the prefix of the full
+/// scan's (sum, id) order, and every vertex on a candidate's combined path
+/// is settled with its final parent. Once the K-th valid path fixes b, the
+/// frontier already exceeds b plus the keep slack, so every vertex to keep
+/// is settled. Without tied path lengths the search's parents are the
+/// unique shortest ones, and b, the keep mask and the inspected count equal
+/// the full scan's. Under ties, A* may pick other equally short parents; b
+/// is then still the K-th valid combined path of a valid pair of trees,
+/// which is all Lemma 4.2 needs. With fewer than K paths (b = ∞) the
+/// search runs out the whole reverse-reachable graph.
+///
+/// The frontier test uses twice the keep slack: one slack is the keep
+/// rule's; the other absorbs rounding in the keys, which can let a vertex
+/// discovered later undercut the frontier by a few ulps.
+std::vector<vid_t> bounded_reverse_search(const CsrGraph& g, vid_t t,
+                                          PruneResult& r, BoundScan& scan,
+                                          const fault::CancelToken* cancel) {
+  const CsrGraph& rg = g.reverse();
+  const eid_t* row = rg.row_offsets().data();
+  const vid_t* col = rg.col().data();
+  const weight_t* wgt = rg.weights().data();
+  const weight_t* src = r.from_source.dist.data();
+  weight_t* tgt = r.to_target.dist.data();
+  vid_t* parent = r.to_target.parent.data();
+  // Settled flags live in the keep mask until the mark rewrites it.
+  std::uint8_t* settled_flag = r.vertex_keep.data();
+
+  using Entry = std::pair<weight_t, vid_t>;  // (sum, vertex)
+  using MinHeap =
+      std::priority_queue<Entry, std::vector<Entry>, std::greater<>>;
+  MinHeap frontier;  // reached, keyed by tentative spTgt + spSrc
+  MinHeap pending;   // settled, not yet inspected
+  std::vector<vid_t> settled, reached;
+  std::int64_t relaxed = 0;
+  fault::CancelPoll poll(cancel);
+  tgt[t] = 0;
+  reached.push_back(t);
+  frontier.push({src[t], t});
+  for (;;) {
+    while (!frontier.empty() && settled_flag[frontier.top().second])
+      frontier.pop();  // stale: settled through a smaller key
+    const weight_t next =
+        frontier.empty() ? kInfDist : frontier.top().first;
+    bool done = false;
+    while (!done && !pending.empty()) {
+      const auto [sum, v] = pending.top();
+      if (next != kInfDist && sum + 2 * keep_slack(sum) >= next) break;
+      pending.pop();
+      done = scan.inspect(v, sum);
+    }
+    if (done || frontier.empty()) break;
+    const vid_t u = frontier.top().second;
+    frontier.pop();
+    if (poll.should_stop()) {
+      r.status = poll.why();
+      break;
+    }
+    settled_flag[u] = 1;
+    settled.push_back(u);
+    pending.push({sum_at(r, u), u});
+    for (eid_t e = row[u]; e < row[u + 1]; ++e) {
+      const vid_t v = col[e];
+      if (settled_flag[v] || src[v] == kInfDist) continue;
+      relaxed++;
+      const weight_t nd = tgt[u] + wgt[e];
+      if (nd < tgt[v]) {
+        if (tgt[v] == kInfDist) reached.push_back(v);
+        tgt[v] = nd;
+        parent[v] = u;
+        frontier.push({sum_at(r, v), v});
+      }
+    }
+  }
+  // Reached but unsettled vertices hold tentative distances: clear them.
+  for (vid_t v : reached) {
+    if (!settled_flag[v]) {
+      tgt[v] = kInfDist;
+      parent[v] = kNoVertex;
+    }
+  }
+  PEEK_COUNT_ADD("prune.search.settled",
+                 static_cast<std::int64_t>(settled.size()));
+  PEEK_COUNT_ADD("prune.search.relaxed_edges", relaxed);
+  return settled;
+}
+
+/// Step 4's vertex rule (lines 10-12) over `candidates`, every vertex whose
+/// sum may be finite: keeps those with sum <= limit and clears the rest.
+/// Returns the kept count.
+vid_t mark_kept(PruneResult& r, const std::vector<vid_t>& candidates,
+                weight_t limit, bool parallel) {
+  std::atomic<vid_t> kept{0};
+  auto keep_body = [&](size_t i) {
+    const vid_t v = candidates[i];
+    const weight_t sum = sum_at(r, v);
+    const bool keep = sum != kInfDist && sum <= limit;
+    r.vertex_keep[v] = static_cast<std::uint8_t>(keep);
+    if (keep) kept.fetch_add(1, std::memory_order_relaxed);
+  };
+  if (parallel) par::parallel_for(size_t{0}, candidates.size(), keep_body);
+  else for (size_t i = 0; i < candidates.size(); ++i) keep_body(i);
+  return kept.load();
+}
+
 PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
                        const PruneOptions& opts) {
   PruneResult r;
@@ -22,22 +227,23 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   r.vertex_keep.assign(static_cast<size_t>(n), 0);
   PEEK_COUNT_INC("prune.runs");
 
-  // Step 1: shortest distances from the source and to the target. Either
-  // tree may arrive precomputed from the serving layer's artifact cache.
+  // Step 1: shortest distances from the source, possibly precomputed by the
+  // serving layer's artifact cache. A handed-in reverse tree selects the
+  // reference scan; otherwise spTgt comes from the bounded search in Step 3.
   {
     PEEK_TIMER_SCOPE("prune.sssp");
     PEEK_FAULT_ALLOC("prune.sssp.alloc");
-    sssp::DeltaSteppingOptions ds;
-    ds.delta = opts.delta;
-    ds.cancel = opts.cancel;
-    sssp::DijkstraOptions dj;
-    dj.cancel = opts.cancel;
     if (opts.reuse_from_source) {
       r.from_source = *opts.reuse_from_source;
       PEEK_COUNT_INC("prune.reused_trees");
     } else if (opts.parallel) {
+      sssp::DeltaSteppingOptions ds;
+      ds.delta = opts.delta;
+      ds.cancel = opts.cancel;
       r.from_source = sssp::delta_stepping(sssp::GraphView(g), s, ds);
     } else {
+      sssp::DijkstraOptions dj;
+      dj.cancel = opts.cancel;
       r.from_source = sssp::dijkstra(sssp::GraphView(g), s, dj);
     }
     if (r.from_source.status != fault::Status::kOk) {
@@ -47,18 +253,13 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     if (opts.reuse_to_target) {
       r.to_target = *opts.reuse_to_target;
       PEEK_COUNT_INC("prune.reused_trees");
-    } else if (opts.parallel) {
-      r.to_target = sssp::reverse_delta_stepping(g, t, ds);
     } else {
-      r.to_target = sssp::reverse_dijkstra(g, t, dj);
-    }
-    if (r.to_target.status != fault::Status::kOk) {
-      r.status = r.to_target.status;
-      return r;
+      r.to_target.dist.assign(static_cast<size_t>(n), kInfDist);
+      r.to_target.parent.assign(static_cast<size_t>(n), kNoVertex);
     }
   }
 
-  if (r.to_target.dist[s] == kInfDist) {
+  if (r.from_source.dist[t] == kInfDist) {
     // t unreachable: no path at all; prune everything.
     PEEK_COUNT_INC("prune.unreachable_queries");
     r.upper_bound = kInfDist;
@@ -66,77 +267,28 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     return r;
   }
 
-  // Step 2: distance sums (data parallel, Algorithm 2 lines 3-4).
-  std::vector<weight_t> dist(static_cast<size_t>(n));
-  auto sum_body = [&](vid_t v) {
-    const weight_t a = r.from_source.dist[v];
-    const weight_t b = r.to_target.dist[v];
-    dist[v] = (a == kInfDist || b == kInfDist) ? kInfDist : a + b;
-  };
-  if (opts.parallel) par::parallel_for(vid_t{0}, n, sum_body);
-  else for (vid_t v = 0; v < n; ++v) sum_body(v);
-
-  // Step 3: identify b — walk vertices in increasing dist order, keep the
-  // K-th valid, distinct combined path (lines 5-9). kInfDist sorts last.
-  weight_t b = kInfDist;
+  // Steps 2-3: identify b, and the candidates Step 4 must look at.
+  std::vector<vid_t> candidates;
   {
     PEEK_TIMER_SCOPE("prune.scan");
     PEEK_FAULT_STALL("prune.scan.stall");
-    fault::CancelPoll poll(opts.cancel);
-    const std::vector<vid_t> order = par::sort_permutation(dist);
-    std::unordered_set<sssp::Path, sssp::PathHash> distinct;
-    int valid = 0;
-    std::int64_t non_simple = 0, duplicates = 0;
-    for (vid_t v : order) {
-      if (dist[v] == kInfDist) break;  // only unreachable remain
-      if (poll.should_stop()) {
-        r.status = poll.why();
-        return r;
-      }
-      r.inspected_paths++;
-      if (!sssp::combined_path_is_simple(r.from_source, r.to_target, s, v, t)) {
-        non_simple++;
-        continue;
-      }
-      sssp::Path p = sssp::combined_path(r.from_source, r.to_target, s, v, t);
-      if (p.empty() || !distinct.insert(std::move(p)).second) {
-        duplicates++;
-        continue;
-      }
-      valid++;
-      if (valid == opts.k) {
-        b = dist[v];
-        break;
-      }
-    }
-    PEEK_COUNT_ADD("prune.inspected_paths", r.inspected_paths);
-    PEEK_COUNT_ADD("prune.valid_paths", valid);
-    PEEK_COUNT_ADD("prune.non_simple_paths", non_simple);
-    PEEK_COUNT_ADD("prune.duplicate_paths", duplicates);
+    BoundScan scan(r, s, t, opts.k);
+    candidates = opts.reuse_to_target
+                     ? full_scan(r, scan, opts)
+                     : bounded_reverse_search(g, t, r, scan, opts.cancel);
+    if (r.status != fault::Status::kOk) return r;
+    scan.publish();
+    r.upper_bound = scan.bound();
   }
-  r.upper_bound = b;
+  const weight_t b = r.upper_bound;
 
   // Step 4: prune (lines 10-13). Unreachable vertices (dist == inf) always
   // go; with fewer than K estimated paths (b == inf) nothing else can.
-  // Keep-side relative epsilon: vertices on the K-th path itself can sum
-  // spSrc[v] + spTgt[v] an ulp above b, because that sum associates
-  // differently than the walk that produced b — without slack the K-th path
-  // loses a vertex and the result silently degrades to the (K+1)-th.
-  // Under-pruning is sound (Theorem 4.3 bounds what may be deleted, not what
-  // must be); this mirrors the tight-edge rule's slack below.
-  const weight_t keep_slack = b == kInfDist ? 0 : b * 1e-12 + 1e-12;
   {
     PEEK_TIMER_SCOPE("prune.mark");
-    std::atomic<vid_t> kept{0};
-    auto keep_body = [&](vid_t v) {
-      if (dist[v] != kInfDist && dist[v] <= b + keep_slack) {
-        r.vertex_keep[v] = 1;
-        kept.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    if (opts.parallel) par::parallel_for(vid_t{0}, n, keep_body);
-    else for (vid_t v = 0; v < n; ++v) keep_body(v);
-    r.kept_vertices = kept.load();
+    r.kept_vertices = mark_kept(
+        r, candidates, b == kInfDist ? kInfDist : b + keep_slack(b),
+        opts.parallel && opts.reuse_to_target != nullptr);
   }
   PEEK_COUNT_ADD("prune.kept_vertices", r.kept_vertices);
   PEEK_COUNT_ADD("prune.pruned_vertices", n - r.kept_vertices);
@@ -153,7 +305,7 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     // The K-th path's own edges can land an ulp above b because spSrc + w +
     // spTgt sums in a different order than the path walk that produced b;
     // a relative epsilon on the KEEP side is sound (it can only under-prune).
-    const weight_t slack = b * 1e-12 + 1e-12;
+    const weight_t slack = keep_slack(b);
     r.edge_keep = [src, tgt, b, slack](vid_t u, vid_t v, weight_t w) {
       if (w > b) return false;
       const weight_t a = (*src)[u], c = (*tgt)[v];

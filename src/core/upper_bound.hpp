@@ -1,12 +1,19 @@
 // K upper bound pruning (§4, Algorithm 2) — PeeK's central contribution.
 //
-// Two SSSPs give, for every vertex v, the tightest possible distance of an
-// s->t path through v: dist[v] = spSrc[v] + spTgt[v] (Lemma 4.1). Scanning
-// vertices in increasing dist order and keeping only loop-free, distinct
-// combined paths, the K-th such distance is a sound upper bound b on the
-// K-th shortest path (Lemma 4.2): every vertex with dist[v] > b — and every
-// edge heavier than b — can be deleted without changing the result
-// (Theorem 4.3).
+// Two shortest-distance maps give, for every vertex v, the tightest possible
+// distance of an s->t path through v: dist[v] = spSrc[v] + spTgt[v] (Lemma
+// 4.1). Scanning vertices in increasing dist order and keeping only
+// loop-free, distinct combined paths, the K-th such distance is a sound upper
+// bound b on the K-th shortest path (Lemma 4.2): every vertex with
+// dist[v] > b — and every edge heavier than b — can be deleted without
+// changing the result (Theorem 4.3).
+//
+// spSrc is a full SSSP from s. spTgt is needed only where dist[v] <= b, so
+// it comes from a reverse A* search from t guided by spSrc, which settles
+// vertices in dist order and stops just past b: about the kept set, not the
+// whole graph (DESIGN.md §5). A caller holding a full reverse tree can hand
+// it in instead and gets the all-vertex scan; both paths share the scan and
+// the mark.
 #pragma once
 
 #include "compact/edge_swap.hpp"
@@ -20,25 +27,31 @@ using graph::CsrGraph;
 
 struct PruneOptions {
   int k = 8;
-  /// Data-parallel pruning (§6.1): Δ-stepping SSSPs, parallel sort, parallel
-  /// distance-sum.
+  /// Data-parallel pruning (§6.1): Δ-stepping forward SSSP. On the
+  /// reference path (`reuse_to_target` set) also the parallel distance-sum,
+  /// sort and mark. The bounded reverse search is serial.
   bool parallel = false;
   weight_t delta = 0;  // Δ-stepping bucket width (<=0 auto)
   /// Extension beyond the paper's Algorithm 2 line 13 (`w(e) > b`): also
   /// prune edge (u,v) when spSrc[u] + w + spTgt[v] > b, which is sound by
   /// the same Lemma 4.1 argument and strictly stronger.
   bool tight_edge_prune = false;
-  /// Precomputed SSSP trees to reuse (the serving layer's cross-query
-  /// artifact cache, serve/artifact_cache.hpp): the forward tree depends only
-  /// on s and the reverse tree only on t, so a query that shares either end
-  /// with an earlier one can skip that SSSP. When non-null, Step 1 copies the
-  /// tree instead of recomputing it. The tree must have been computed on this
-  /// exact graph from this s / to this t.
+  /// A precomputed forward SSSP tree to reuse (the serving layer's
+  /// cross-query artifact cache, serve/artifact_cache.hpp): it depends only
+  /// on s, so a query that shares its source with an earlier one skips that
+  /// SSSP. When non-null, Step 1 copies the tree instead of recomputing it.
+  /// The tree must have been computed on this exact graph from this s.
   const sssp::SsspResult* reuse_from_source = nullptr;
+  /// A full reverse SSSP tree to t, computed on this exact graph. Null (the
+  /// default) runs the bounded reverse search. Non-null copies the tree and
+  /// scans all n vertices instead: the reference the bounded search is
+  /// tested against, equal to it in b, keep mask, inspected paths and spTgt
+  /// on every kept vertex whenever no two path lengths tie.
   const sssp::SsspResult* reuse_to_target = nullptr;
-  /// Cooperative cancellation: threaded into both SSSPs and polled in the
-  /// Step 3 scan. A cancelled prune returns early with `status` set and no
-  /// usable keep mask. Null = never cancelled.
+  /// Cooperative cancellation: threaded into the forward SSSP and polled on
+  /// every vertex the reverse search settles (or the full scan inspects). A
+  /// cancelled prune returns early with `status` set and no usable keep
+  /// mask. Null = never cancelled.
   const fault::CancelToken* cancel = nullptr;
 };
 
@@ -51,8 +64,11 @@ struct PruneResult {
   /// Position-independent edge filter capturing b (and, when tight pruning
   /// is on, the two distance arrays); feed to any compaction strategy.
   compact::EdgeKeep edge_keep;
-  /// spSrc / spTgt with parents — reusable downstream.
+  /// spSrc with parents: the full forward tree.
   sssp::SsspResult from_source;
+  /// spTgt with parents, n entries: exact on every vertex the reverse search
+  /// settled (a superset of the kept ones) and kInfDist with no parent
+  /// elsewhere. The handed tree itself when `reuse_to_target` is set.
   sssp::SsspResult to_target;
   vid_t kept_vertices = 0;
   /// Paths inspected while identifying b: K valid ones + λ invalid/duplicate.

@@ -7,6 +7,8 @@
 #include "ksp/stream.hpp"
 #include "obs/metrics.hpp"
 #include "recover/artifacts.hpp"
+#include "sssp/delta_stepping.hpp"
+#include "sssp/dijkstra.hpp"
 
 namespace peek::serve {
 
@@ -644,7 +646,6 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
   po.delta = opts_.peek.delta;
   po.tight_edge_prune = opts_.peek.tight_edge_prune;
   po.reuse_from_source = fwd.get();
-  po.reuse_to_target = rev.get();
   po.cancel = cancel;
   core::PruneResult pruned = core::k_upper_bound_prune(g, s, t, po);
   if (pruned.status != fault::Status::kOk) {
@@ -661,9 +662,26 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
                    std::make_shared<sssp::SsspResult>(pruned.from_source),
                    generation, epoch0);
     }
-    if (!rev && !pruned.to_target.dist.empty()) {
+    if (!rev) {
+      // The prune's reverse tree covers only about its kept set; the
+      // live-mutation pair tests and cone repair need the full tree to t.
+      sssp::SsspResult tree;
+      if (opts_.peek.parallel) {
+        sssp::DeltaSteppingOptions ds;
+        ds.delta = opts_.peek.delta;
+        ds.cancel = cancel;
+        tree = sssp::reverse_delta_stepping(g, t, ds);
+      } else {
+        sssp::DijkstraOptions dj;
+        dj.cancel = cancel;
+        tree = sssp::reverse_dijkstra(g, t, dj);
+      }
+      if (tree.status != fault::Status::kOk) {
+        out.status = {tree.status, "reverse tree aborted"};
+        return nullptr;
+      }
       publish_tree(ArtifactKind::kReverseTree, t,
-                   std::make_shared<sssp::SsspResult>(pruned.to_target),
+                   std::make_shared<sssp::SsspResult>(std::move(tree)),
                    generation, epoch0);
     }
   }

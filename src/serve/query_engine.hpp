@@ -6,9 +6,12 @@
 //      K <= its budget with zero graph work: K paths already produced is a
 //      pure lookup; otherwise the snapshot's live KspStream (incremental
 //      OptYen, ksp/stream.hpp) pulls just the missing paths.
-//   2. Tree hit      — the §4.1 forward tree (keyed on s) and/or reverse tree
-//      (keyed on t) skip one or both full-graph SSSPs inside pruning, which
-//      dominate PeeK's runtime (§7: ~95% of end-to-end time at K = 8).
+//   2. Tree hit      — the §4.1 forward tree (keyed on s) skips the
+//      full-graph SSSP inside pruning, which dominates PeeK's runtime. The
+//      prune's reverse half is always core::k_upper_bound_prune's own bounded
+//      search, so a miss prunes exactly as core::peek_ksp does. Full reverse
+//      trees (keyed on t) are still computed on a miss and cached, for the
+//      live-mutation pipeline's pair tests and cone repair; a hit skips that.
 //   3. Coalescing    — duplicate in-flight (s, t) queries block on the first
 //      computation instead of repeating it (the thundering-herd guard).
 //   4. Full compute  — prune with an over-provisioned K budget (so nearby
@@ -160,7 +163,7 @@ struct ServeResult {
   bool extended = false;      // the snapshot's stream pulled extra paths
   bool coalesced = false;     // waited on an identical in-flight query
   bool fwd_tree_hit = false;  // pruning reused the cached forward tree
-  bool rev_tree_hit = false;  // pruning reused the cached reverse tree
+  bool rev_tree_hit = false;  // the reverse tree was cached: not recomputed
   bool uncached = false;      // served via plain PeeK (budget 0 / oversize)
   bool degraded = false;      // shed query answered from cached paths only
   /// ServeOptions::certify rejected the answer (status is kInternal): the

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "compact/regeneration.hpp"
+#include "core/peek.hpp"
 #include "ksp/optyen.hpp"
+#include "ksp/stream.hpp"
 #include "test_util.hpp"
 
 namespace peek::core {
@@ -90,6 +93,46 @@ TEST(Diverse, ExhaustsSmallGraph) {
   auto r = diverse_ksp(g, 0, 3, opts);
   EXPECT_TRUE(r.exhausted);
   EXPECT_EQ(r.paths.size(), 2u);  // both paths are diverse enough
+}
+
+TEST(Diverse, StreamsFromThePrunesReverseTreeUnderTies) {
+  // diverse_ksp warm-starts its stream from the prune's reverse tree, as
+  // peek_ksp does. On a unit-weight grid many paths tie, so its answer at
+  // similarity 1 (nothing filtered) matches, vertex for vertex, a stream
+  // built from the same public calls only if it streams from that tree.
+  graph::WeightOptions unit;
+  unit.kind = graph::WeightKind::kUnit;
+  const auto g = graph::grid(8, 8, unit);
+  DiverseOptions opts;
+  opts.k = 6;
+  opts.max_similarity = 1.0;
+  opts.max_scanned = 32;
+  for (const auto& [s, t] : test::spread_pairs(g.num_vertices(), 6)) {
+    SCOPED_TRACE(std::to_string(s) + "->" + std::to_string(t));
+    const DiverseResult got = diverse_ksp(g, s, t, opts);
+    PruneOptions po;
+    po.k = opts.max_scanned;
+    const PruneResult pruned = k_upper_bound_prune(g, s, t, po);
+    ASSERT_GT(pruned.kept_vertices, 0);
+    auto regen = compact::regenerate(sssp::GraphView(g),
+                                     pruned.vertex_keep.data(),
+                                     pruned.edge_keep, {.parallel = false});
+    ksp::KspStream stream(sssp::BiView::of(regen.graph), regen.map.to_new(s),
+                          regen.map.to_new(t),
+                          compacted_reverse_tree(pruned.to_target, regen.map));
+    std::vector<sssp::Path> want;
+    while (want.size() < static_cast<size_t>(opts.k)) {
+      auto p = stream.next();
+      if (!p) break;
+      for (auto& v : p->verts) v = regen.map.to_old(v);
+      want.push_back(std::move(*p));
+    }
+    ASSERT_EQ(got.paths.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.paths[i].verts, want[i].verts) << "rank " << i;
+      EXPECT_EQ(got.paths[i].dist, want[i].dist) << "rank " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "ksp/bruteforce.hpp"
+#include "obs/metrics.hpp"
+#include "sssp/dijkstra.hpp"
 #include "test_util.hpp"
 
 namespace peek::core {
@@ -24,31 +29,148 @@ TEST(UpperBound, PaperExampleBoundAndKeepSet) {
 
 TEST(UpperBound, BoundIsSound) {
   // b must be >= the true K-th shortest path distance (Lemma 4.2's premise).
-  for (std::uint64_t seed : {201u, 202u, 203u, 204u}) {
-    auto g = test::random_graph(32, 96, seed);
-    auto oracle = ksp::bruteforce_ksp(g, 0, 16, 8);
-    if (oracle.paths.size() < 8) continue;
-    PruneOptions opts;
-    opts.k = 8;
-    auto r = k_upper_bound_prune(g, 0, 16, opts);
-    EXPECT_GE(r.upper_bound + 1e-12, oracle.paths.back().dist) << seed;
+  // Unit weights too: under tied lengths the reverse search may pick other
+  // shortest-path parents, and so another b, than a full reverse tree would.
+  for (bool unit : {false, true}) {
+    SCOPED_TRACE(unit ? "unit weights" : "uniform weights");
+    for (std::uint64_t seed : {201u, 202u, 203u, 204u}) {
+      auto g = test::random_graph(32, 96, seed, unit);
+      auto oracle = ksp::bruteforce_ksp(g, 0, 16, 8);
+      if (oracle.paths.size() < 8) continue;
+      PruneOptions opts;
+      opts.k = 8;
+      auto r = k_upper_bound_prune(g, 0, 16, opts);
+      EXPECT_GE(r.upper_bound + 1e-12, oracle.paths.back().dist) << seed;
+    }
   }
 }
 
 TEST(UpperBound, KeepsEveryKspVertex) {
   // Theorem 4.3's precondition: no vertex of any of the K shortest paths may
-  // be pruned.
-  for (std::uint64_t seed : {211u, 212u, 213u}) {
-    auto g = test::random_graph(32, 96, seed);
-    auto oracle = ksp::bruteforce_ksp(g, 0, 16, 8);
-    if (oracle.paths.empty()) continue;
-    PruneOptions opts;
-    opts.k = 8;
-    auto r = k_upper_bound_prune(g, 0, 16, opts);
-    for (const auto& p : oracle.paths)
-      for (vid_t v : p.verts) EXPECT_TRUE(r.vertex_keep[v]) << "seed " << seed;
+  // be pruned — also on unit weights, where the oracle's tie-breaks and the
+  // reverse search's need not agree.
+  for (bool unit : {false, true}) {
+    SCOPED_TRACE(unit ? "unit weights" : "uniform weights");
+    for (std::uint64_t seed : {211u, 212u, 213u}) {
+      auto g = test::random_graph(32, 96, seed, unit);
+      auto oracle = ksp::bruteforce_ksp(g, 0, 16, 8);
+      if (oracle.paths.empty()) continue;
+      PruneOptions opts;
+      opts.k = 8;
+      auto r = k_upper_bound_prune(g, 0, 16, opts);
+      for (const auto& p : oracle.paths)
+        for (vid_t v : p.verts) EXPECT_TRUE(r.vertex_keep[v]) << "seed " << seed;
+    }
   }
 }
+
+TEST(UpperBound, TieHeavyBoundIsSoundAndKeepsEveryKspVertex) {
+  // Unit-weight grids and a small-world graph, where most lengths tie: the
+  // bound still covers the K-th distance and every oracle path survives.
+  graph::WeightOptions unit;
+  unit.kind = graph::WeightKind::kUnit;
+  std::vector<test::NamedGraph> graphs;
+  graphs.push_back({"grid4x4", graph::grid(4, 4, unit)});
+  graphs.push_back({"grid3x8", graph::grid(3, 8, unit)});
+  graphs.push_back({"smallworld16", graph::small_world(16, 4, 0.2, unit, 7)});
+  graphs.push_back({"er24", graph::erdos_renyi(24, 72, unit, 5)});
+  for (const auto& [name, g] : graphs) {
+    for (const auto& [s, t] : test::spread_pairs(g.num_vertices(), 6)) {
+      for (int k : {1, 4, 8, 16}) {
+        SCOPED_TRACE(name + " " + std::to_string(s) + "->" +
+                     std::to_string(t) + " K=" + std::to_string(k));
+        auto oracle = ksp::bruteforce_ksp(g, s, t, k);
+        PruneOptions opts;
+        opts.k = k;
+        auto r = k_upper_bound_prune(g, s, t, opts);
+        if (oracle.paths.empty()) {
+          EXPECT_EQ(r.kept_vertices, 0);
+          continue;
+        }
+        if (oracle.paths.size() == static_cast<size_t>(k)) {
+          EXPECT_GE(r.upper_bound, oracle.paths.back().dist);
+        }
+        for (const auto& p : oracle.paths)
+          for (vid_t v : p.verts) EXPECT_TRUE(r.vertex_keep[v]) << v;
+      }
+    }
+  }
+}
+
+/// The prune's outputs that must not depend on how spTgt was obtained.
+void expect_same_prune(const PruneResult& got, const PruneResult& want) {
+  ASSERT_EQ(got.status, fault::Status::kOk);
+  ASSERT_EQ(want.status, fault::Status::kOk);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.upper_bound),
+            std::bit_cast<std::uint64_t>(want.upper_bound));
+  EXPECT_EQ(got.kept_vertices, want.kept_vertices);
+  EXPECT_EQ(got.inspected_paths, want.inspected_paths);
+  ASSERT_EQ(got.vertex_keep, want.vertex_keep);
+  for (size_t v = 0; v < want.vertex_keep.size(); ++v) {
+    if (!want.vertex_keep[v]) continue;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.to_target.dist[v]),
+              std::bit_cast<std::uint64_t>(want.to_target.dist[v]))
+        << "vertex " << v;
+    EXPECT_EQ(got.to_target.parent[v], want.to_target.parent[v])
+        << "vertex " << v;
+  }
+}
+
+TEST(UpperBound, BoundedSearchMatchesFullTrees) {
+  // Without tied path lengths the bounded reverse search reproduces the
+  // all-vertex scan over a full reverse tree exactly: same b to the bit,
+  // same keep mask, same inspected paths, same spTgt on every kept vertex.
+  std::vector<test::NamedGraph> graphs;
+  for (std::uint64_t seed : {261u, 262u, 263u, 264u})
+    graphs.push_back({"er" + std::to_string(seed),
+                      test::random_graph(400, 3200, seed)});
+  graphs.push_back({"rmat12", graph::rmat(12, 8)});
+  int finite_bounds = 0;
+  for (const auto& [name, g] : graphs) {
+    for (const auto& [s, t] : test::spread_pairs(g.num_vertices(), 4)) {
+      const sssp::SsspResult full = sssp::reverse_dijkstra(g, t);
+      for (int k : {1, 8, 64}) {
+        for (bool parallel : {false, true}) {
+          SCOPED_TRACE(name + " " + std::to_string(s) + "->" +
+                       std::to_string(t) + " K=" + std::to_string(k) +
+                       (parallel ? " parallel" : " serial"));
+          PruneOptions opts;
+          opts.k = k;
+          opts.parallel = parallel;
+          const PruneResult bounded = k_upper_bound_prune(g, s, t, opts);
+          opts.reuse_to_target = &full;
+          const PruneResult reference = k_upper_bound_prune(g, s, t, opts);
+          expect_same_prune(bounded, reference);
+          if (reference.upper_bound != kInfDist) finite_bounds++;
+        }
+      }
+    }
+  }
+  // The sweep must exercise the bounded stop, not only b = ∞ run-outs.
+  EXPECT_GT(finite_bounds, 60);
+}
+
+#if PEEK_OBS_ENABLED
+TEST(UpperBound, BoundedSearchSettlesAFewPercent) {
+  // The reverse search settles about the kept set, not the graph; read from
+  // its own counter, so a silent fallback to a full search fails here.
+  auto g = graph::rmat(12, 8);
+  auto& settled = obs::MetricsRegistry::global().counter("prune.search.settled");
+  auto& relaxed =
+      obs::MetricsRegistry::global().counter("prune.search.relaxed_edges");
+  const auto settled0 = settled.value();
+  const auto relaxed0 = relaxed.value();
+  PruneOptions opts;
+  opts.k = 8;
+  auto r = k_upper_bound_prune(g, 1, 2000, opts);
+  ASSERT_GT(r.kept_vertices, 0);
+  ASSERT_NE(r.upper_bound, kInfDist);
+  const auto n_settled = settled.value() - settled0;
+  EXPECT_GE(n_settled, r.kept_vertices);
+  EXPECT_LT(n_settled, g.num_vertices() / 20);
+  EXPECT_GT(relaxed.value() - relaxed0, 0);
+}
+#endif
 
 TEST(UpperBound, UnreachableTargetPrunesEverything) {
   auto g = graph::from_edges(3, {{1, 0, 1.0}});
