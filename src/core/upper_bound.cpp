@@ -27,8 +27,9 @@ namespace {
 weight_t keep_slack(weight_t b) { return b * 1e-12 + 1e-12; }
 
 /// spSrc[v] + spTgt[v] (Lemma 4.1), kInfDist when either half is missing.
-weight_t sum_at(const PruneResult& r, vid_t v) {
-  const weight_t a = r.from_source.dist[v];
+/// `fwd` is the forward tree: computed into r.from_source, or handed in.
+weight_t sum_at(const sssp::SsspResult& fwd, const PruneResult& r, vid_t v) {
+  const weight_t a = fwd.dist[v];
   const weight_t c = r.to_target.dist[v];
   return a == kInfDist || c == kInfDist ? kInfDist : a + c;
 }
@@ -37,19 +38,19 @@ weight_t sum_at(const PruneResult& r, vid_t v) {
 /// order, it keeps the K-th valid, distinct combined path's sum as b.
 class BoundScan {
  public:
-  BoundScan(PruneResult& r, vid_t s, vid_t t, int k)
-      : r_(r), s_(s), t_(t), k_(k) {}
+  BoundScan(const sssp::SsspResult& fwd, PruneResult& r, vid_t s, vid_t t,
+            int k)
+      : fwd_(fwd), r_(r), s_(s), t_(t), k_(k) {}
 
   /// Inspects candidate `v` of sum `sum`. True once `v` completed the K-th
   /// valid path; `bound()` is then its sum.
   bool inspect(vid_t v, weight_t sum) {
     r_.inspected_paths++;
-    if (!sssp::combined_path_is_simple(r_.from_source, r_.to_target, s_, v,
-                                       t_)) {
+    if (!sssp::combined_path_is_simple(fwd_, r_.to_target, s_, v, t_)) {
       non_simple_++;
       return false;
     }
-    sssp::Path p = sssp::combined_path(r_.from_source, r_.to_target, s_, v, t_);
+    sssp::Path p = sssp::combined_path(fwd_, r_.to_target, s_, v, t_);
     if (p.empty() || !distinct_.insert(std::move(p)).second) {
       duplicates_++;
       return false;
@@ -69,6 +70,7 @@ class BoundScan {
   }
 
  private:
+  const sssp::SsspResult& fwd_;
   PruneResult& r_;
   const vid_t s_, t_;
   const int k_;
@@ -81,11 +83,11 @@ class BoundScan {
 /// The reference scan over a full reverse tree: every vertex's sum (data
 /// parallel, lines 3-4), sorted by (sum, id). Returns that order, every
 /// vertex, as the mark's candidates.
-std::vector<vid_t> full_scan(PruneResult& r, BoundScan& scan,
-                             const PruneOptions& opts) {
+std::vector<vid_t> full_scan(const sssp::SsspResult& fwd, PruneResult& r,
+                             BoundScan& scan, const PruneOptions& opts) {
   const vid_t n = static_cast<vid_t>(r.vertex_keep.size());
   std::vector<weight_t> dist(static_cast<size_t>(n));
-  auto sum_body = [&](vid_t v) { dist[v] = sum_at(r, v); };
+  auto sum_body = [&](vid_t v) { dist[v] = sum_at(fwd, r, v); };
   if (opts.parallel) par::parallel_for(vid_t{0}, n, sum_body);
   else for (vid_t v = 0; v < n; ++v) sum_body(v);
   std::vector<vid_t> order = par::sort_permutation(dist);
@@ -131,13 +133,14 @@ std::vector<vid_t> full_scan(PruneResult& r, BoundScan& scan,
 /// rule's; the other absorbs rounding in the keys, which can let a vertex
 /// discovered later undercut the frontier by a few ulps.
 std::vector<vid_t> bounded_reverse_search(const CsrGraph& g, vid_t t,
+                                          const sssp::SsspResult& fwd,
                                           PruneResult& r, BoundScan& scan,
                                           const fault::CancelToken* cancel) {
   const CsrGraph& rg = g.reverse();
   const eid_t* row = rg.row_offsets().data();
   const vid_t* col = rg.col().data();
   const weight_t* wgt = rg.weights().data();
-  const weight_t* src = r.from_source.dist.data();
+  const weight_t* src = fwd.dist.data();
   weight_t* tgt = r.to_target.dist.data();
   vid_t* parent = r.to_target.parent.data();
   // Settled flags live in the keep mask until the mark rewrites it.
@@ -175,7 +178,7 @@ std::vector<vid_t> bounded_reverse_search(const CsrGraph& g, vid_t t,
     }
     settled_flag[u] = 1;
     settled.push_back(u);
-    pending.push({sum_at(r, u), u});
+    pending.push({sum_at(fwd, r, u), u});
     for (eid_t e = row[u]; e < row[u + 1]; ++e) {
       const vid_t v = col[e];
       if (settled_flag[v] || src[v] == kInfDist) continue;
@@ -185,7 +188,7 @@ std::vector<vid_t> bounded_reverse_search(const CsrGraph& g, vid_t t,
         if (tgt[v] == kInfDist) reached.push_back(v);
         tgt[v] = nd;
         parent[v] = u;
-        frontier.push({sum_at(r, v), v});
+        frontier.push({sum_at(fwd, r, v), v});
       }
     }
   }
@@ -205,12 +208,13 @@ std::vector<vid_t> bounded_reverse_search(const CsrGraph& g, vid_t t,
 /// Step 4's vertex rule (lines 10-12) over `candidates`, every vertex whose
 /// sum may be finite: keeps those with sum <= limit and clears the rest.
 /// Returns the kept count.
-vid_t mark_kept(PruneResult& r, const std::vector<vid_t>& candidates,
-                weight_t limit, bool parallel) {
+vid_t mark_kept(const sssp::SsspResult& fwd, PruneResult& r,
+                const std::vector<vid_t>& candidates, weight_t limit,
+                bool parallel) {
   std::atomic<vid_t> kept{0};
   auto keep_body = [&](size_t i) {
     const vid_t v = candidates[i];
-    const weight_t sum = sum_at(r, v);
+    const weight_t sum = sum_at(fwd, r, v);
     const bool keep = sum != kInfDist && sum <= limit;
     r.vertex_keep[v] = static_cast<std::uint8_t>(keep);
     if (keep) kept.fetch_add(1, std::memory_order_relaxed);
@@ -228,13 +232,13 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   PEEK_COUNT_INC("prune.runs");
 
   // Step 1: shortest distances from the source, possibly precomputed by the
-  // serving layer's artifact cache. A handed-in reverse tree selects the
+  // serving layer's artifact cache — a handed-in tree is read in place, and
+  // r.from_source stays empty. A handed-in reverse tree selects the
   // reference scan; otherwise spTgt comes from the bounded search in Step 3.
   {
     PEEK_TIMER_SCOPE("prune.sssp");
     PEEK_FAULT_ALLOC("prune.sssp.alloc");
     if (opts.reuse_from_source) {
-      r.from_source = *opts.reuse_from_source;
       PEEK_COUNT_INC("prune.reused_trees");
     } else if (opts.parallel) {
       sssp::DeltaSteppingOptions ds;
@@ -259,7 +263,10 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     }
   }
 
-  if (r.from_source.dist[t] == kInfDist) {
+  const sssp::SsspResult& fwd = opts.reuse_from_source != nullptr
+                                     ? *opts.reuse_from_source
+                                     : r.from_source;
+  if (fwd.dist[t] == kInfDist) {
     // t unreachable: no path at all; prune everything.
     PEEK_COUNT_INC("prune.unreachable_queries");
     r.upper_bound = kInfDist;
@@ -272,10 +279,10 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   {
     PEEK_TIMER_SCOPE("prune.scan");
     PEEK_FAULT_STALL("prune.scan.stall");
-    BoundScan scan(r, s, t, opts.k);
+    BoundScan scan(fwd, r, s, t, opts.k);
     candidates = opts.reuse_to_target
-                     ? full_scan(r, scan, opts)
-                     : bounded_reverse_search(g, t, r, scan, opts.cancel);
+                     ? full_scan(fwd, r, scan, opts)
+                     : bounded_reverse_search(g, t, fwd, r, scan, opts.cancel);
     if (r.status != fault::Status::kOk) return r;
     scan.publish();
     r.upper_bound = scan.bound();
@@ -287,7 +294,7 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   {
     PEEK_TIMER_SCOPE("prune.mark");
     r.kept_vertices = mark_kept(
-        r, candidates, b == kInfDist ? kInfDist : b + keep_slack(b),
+        fwd, r, candidates, b == kInfDist ? kInfDist : b + keep_slack(b),
         opts.parallel && opts.reuse_to_target != nullptr);
   }
   PEEK_COUNT_ADD("prune.kept_vertices", r.kept_vertices);
@@ -300,7 +307,7 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   if (b == kInfDist) {
     r.edge_keep = nullptr;  // keep all edges between kept vertices
   } else if (opts.tight_edge_prune) {
-    auto src = std::make_shared<std::vector<weight_t>>(r.from_source.dist);
+    auto src = std::make_shared<std::vector<weight_t>>(fwd.dist);
     auto tgt = std::make_shared<std::vector<weight_t>>(r.to_target.dist);
     // The K-th path's own edges can land an ulp above b because spSrc + w +
     // spTgt sums in a different order than the path walk that produced b;

@@ -39,8 +39,9 @@ struct PruneOptions {
   /// A precomputed forward SSSP tree to reuse (the serving layer's
   /// cross-query artifact cache, serve/artifact_cache.hpp): it depends only
   /// on s, so a query that shares its source with an earlier one skips that
-  /// SSSP. When non-null, Step 1 copies the tree instead of recomputing it.
-  /// The tree must have been computed on this exact graph from this s.
+  /// SSSP. When non-null, the prune reads the tree in place instead of
+  /// recomputing it, and PruneResult::from_source stays empty. The tree must
+  /// have been computed on this exact graph from this s.
   const sssp::SsspResult* reuse_from_source = nullptr;
   /// A full reverse SSSP tree to t, computed on this exact graph. Null (the
   /// default) runs the bounded reverse search. Non-null copies the tree and
@@ -64,7 +65,8 @@ struct PruneResult {
   /// Position-independent edge filter capturing b (and, when tight pruning
   /// is on, the two distance arrays); feed to any compaction strategy.
   compact::EdgeKeep edge_keep;
-  /// spSrc with parents: the full forward tree.
+  /// spSrc with parents: the full forward tree the prune computed. Empty
+  /// when PruneOptions::reuse_from_source handed one in.
   sssp::SsspResult from_source;
   /// spTgt with parents, n entries: exact on every vertex the reverse search
   /// settled (a superset of the kept ones) and kInfDist with no parent

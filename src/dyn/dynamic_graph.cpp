@@ -37,7 +37,6 @@ void DynamicGraph::insert_edge(vid_t u, vid_t v, weight_t w) {
     row.overflow.insert(it, {v, w});
   }
   m_++;
-  bump_version();
 }
 
 bool DynamicGraph::delete_edge(vid_t u, vid_t v) {
@@ -55,7 +54,6 @@ bool DynamicGraph::delete_edge(vid_t u, vid_t v) {
         row.inline_count--;
       }
       m_--;
-      bump_version();
       return true;
     }
   }
@@ -65,14 +63,12 @@ bool DynamicGraph::delete_edge(vid_t u, vid_t v) {
   if (it != row.overflow.end() && it->to == v) {
     row.overflow.erase(it);
     m_--;
-    bump_version();
     return true;
   }
   auto tit = row.tree.find(v);
   if (tit != row.tree.end()) {
     row.tree.erase(tit);
     m_--;
-    bump_version();
     return true;
   }
   return false;
@@ -85,7 +81,6 @@ weight_t DynamicGraph::reweight_edge(vid_t u, vid_t v, weight_t w) {
     if (e.to == v) {
       const weight_t old = e.weight;
       e.weight = w;
-      bump_version();
       return old;
     }
   }
@@ -95,14 +90,12 @@ weight_t DynamicGraph::reweight_edge(vid_t u, vid_t v, weight_t w) {
   if (it != row.overflow.end() && it->to == v) {
     const weight_t old = it->weight;
     it->weight = w;
-    bump_version();
     return old;
   }
   auto tit = row.tree.find(v);
   if (tit != row.tree.end()) {
     const weight_t old = tit->second;
     tit->second = w;
-    bump_version();
     return old;
   }
   return kInfDist;
@@ -134,7 +127,6 @@ void DynamicGraph::delete_vertex(vid_t v) {
   Row& row = rows_[v];
   if (!row.alive) return;
   m_ -= out_degree(v);
-  bump_version();
   row.alive = false;
   row.inline_count = 0;
   row.overflow.clear();

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -33,19 +32,6 @@ class DynamicGraph {
 
   vid_t num_vertices() const { return static_cast<vid_t>(rows_.size()); }
   eid_t num_edges() const { return m_; }
-
-  /// Monotonic structural version: bumped by every successful insert_edge /
-  /// delete_edge / reweight_edge / delete_vertex (bulk-load counts as its
-  /// insertions). The serving layer (serve/query_engine) compares this
-  /// against the version it last snapshotted to generation-tag — and thereby
-  /// lazily invalidate — every cached cross-query artifact. Release on the
-  /// mutation side / acquire here pairs the version read with the edge data
-  /// it covers, so a reader that observes version N also observes every
-  /// mutation up to N (readers must still not overlap a mutation in time —
-  /// the container itself is single-writer, see serve/query_engine).
-  std::uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
 
   bool vertex_alive(vid_t v) const { return rows_[v].alive; }
 
@@ -114,12 +100,8 @@ class DynamicGraph {
     std::map<vid_t, weight_t> tree;    // hub level (B-tree stand-in)
   };
 
-  /// Release-publishes a completed mutation (see version()).
-  void bump_version() { version_.fetch_add(1, std::memory_order_release); }
-
   std::vector<Row> rows_;
   eid_t m_ = 0;
-  std::atomic<std::uint64_t> version_{0};
 };
 
 }  // namespace peek::dyn

@@ -1,9 +1,9 @@
 // Live-mutation update batches and their affected regions (DESIGN.md §15).
 //
 // An UpdateBatch is an ordered list of edge operations (insert / delete /
-// reweight) applied atomically to a dyn::DynamicGraph. Instead of bumping a
-// global version and nuking every cached artifact, the serving layer asks
-// this module two questions about an *applied* batch:
+// reweight) applied atomically to a dyn::DynamicGraph. Instead of dropping
+// every cached artifact, the serving layer asks this module two questions
+// about an *applied* batch:
 //
 //   1. Which vertices of a cached SSSP tree can the batch have touched?
 //      cone_threshold() answers with a distance bound T: every vertex whose

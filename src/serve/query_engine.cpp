@@ -24,9 +24,9 @@ void to_original_ids(sssp::Path& p, const compact::VertexMap& map) {
   for (auto& v : p.verts) v = map.to_old(v);
 }
 
-/// Live mode: how often one query re-runs after its compute raced a batch
-/// (or an invalidation) before giving up with kOverloaded. Each retry works
-/// against a refreshed snapshot, so in practice one suffices.
+/// How often one query re-runs after its compute raced a batch (or an
+/// invalidation) before giving up with kOverloaded. Each retry works against
+/// a refreshed snapshot, so in practice one suffices.
 constexpr int kMaxEpochRetries = 8;
 
 }  // namespace
@@ -47,33 +47,34 @@ void init_recovery(std::optional<recover::RecoveryManager>& recovery,
 }  // namespace
 
 QueryEngine::QueryEngine(const graph::CsrGraph& g, const ServeOptions& opts)
-    : static_graph_(&g), opts_(opts), cache_(opts.cache) {
-  if (opts_.injector) fault::Injector::global().configure(*opts_.injector);
-  if (!opts_.snapshot_dir.empty()) {
-    init_recovery(recovery_, opts_.snapshot_dir);
-    if (opts_.warm_restart) restore_from_dir();
-  }
-}
+    // Non-owning: the caller guarantees the graph outlives the engine.
+    : QueryEngine(std::shared_ptr<const graph::CsrGraph>(
+                      &g, [](const graph::CsrGraph*) {}),
+                  nullptr, opts) {}
 
 QueryEngine::QueryEngine(const dyn::DynamicGraph& dg, const ServeOptions& opts)
-    : dyn_graph_(&dg), opts_(opts), cache_(opts.cache) {
+    // The snapshot is taken here, before warm restart reads it, and while
+    // the caller is still single-threaded: a later snapshot could race a
+    // fleet apply_batch mutating `dg`.
+    : QueryEngine(std::make_shared<const graph::CsrGraph>(dg.to_csr()), &dg,
+                  opts) {}
+
+QueryEngine::QueryEngine(std::shared_ptr<const graph::CsrGraph> g,
+                         const dyn::DynamicGraph* dg, const ServeOptions& opts)
+    : dyn_graph_(dg), opts_(opts), cache_(opts.cache) {
+  {
+    // Uncontended (no other thread exists yet); taken so the annotation on
+    // graph_ holds unconditionally.
+    check::MutexLock lock(dyn_mu_);
+    graph_ = std::move(g);
+  }
   if (opts_.injector) fault::Injector::global().configure(*opts_.injector);
   if (!opts_.snapshot_dir.empty()) {
     init_recovery(recovery_, opts_.snapshot_dir);
     if (opts_.warm_restart) restore_from_dir();
   }
-  if (live()) {
-    {
-      // Eager first snapshot: a lazily-created one (first query) could read
-      // the DynamicGraph concurrently with a fleet apply_batch mutating it.
-      // Construction is the caller's last single-threaded moment, so the
-      // to_csr here is race-free.
-      check::MutexLock lock(dyn_mu_);
-      if (!dyn_snapshot_) {
-        dyn_snapshot_ =
-            std::make_shared<const graph::CsrGraph>(dyn_graph_->to_csr());
-      }
-    }
+  // Only a dynamic graph receives batches, hence repairs.
+  if (dyn_graph_ != nullptr) {
     repair_thread_ = std::thread([this] { repair_loop(); });
   }
 }
@@ -132,31 +133,8 @@ int QueryEngine::budget_for(int k) const {
 }
 
 std::shared_ptr<const graph::CsrGraph> QueryEngine::active_graph() {
-  if (static_graph_ != nullptr) {
-    // Non-owning: the caller guarantees the graph outlives the engine.
-    return std::shared_ptr<const graph::CsrGraph>(static_graph_,
-                                                  [](const graph::CsrGraph*) {
-                                                  });
-  }
   check::MutexLock lock(dyn_mu_);
-  if (live()) {
-    // Live-mutation mode: the snapshot only moves through adopt_batch(), so
-    // the legacy version check (wholesale re-snapshot + generation bump)
-    // must not run — it would defeat the surgical invalidation.
-    if (!dyn_snapshot_) {
-      dyn_snapshot_ =
-          std::make_shared<const graph::CsrGraph>(dyn_graph_->to_csr());
-    }
-    return dyn_snapshot_;
-  }
-  if (!dyn_snapshot_ || dyn_graph_->version() != dyn_version_seen_) {
-    dyn_version_seen_ = dyn_graph_->version();
-    dyn_snapshot_ =
-        std::make_shared<const graph::CsrGraph>(dyn_graph_->to_csr());
-    generation_.fetch_add(1, std::memory_order_acq_rel);
-    PEEK_COUNT_INC("serve.dynamic_resnapshots");
-  }
-  return dyn_snapshot_;
+  return graph_;
 }
 
 // ---------------------------------------------------------------------------
@@ -165,7 +143,7 @@ std::shared_ptr<const graph::CsrGraph> QueryEngine::active_graph() {
 
 dyn::AppliedBatch QueryEngine::apply_batch(const dyn::UpdateBatch& batch) {
   dyn::AppliedBatch b;
-  if (mutable_dyn_ == nullptr || !live()) return b;  // misuse: no-op record
+  if (mutable_dyn_ == nullptr) return b;  // misuse: no-op record
   check::MutexLock lock(dyn_mu_);
   // Mutation and adoption under one dyn_mu_ hold: no query can observe the
   // mutated DynamicGraph before the serving state has caught up.
@@ -176,7 +154,7 @@ dyn::AppliedBatch QueryEngine::apply_batch(const dyn::UpdateBatch& batch) {
 
 void QueryEngine::note_batch(const dyn::AppliedBatch& batch,
                              std::shared_ptr<const graph::CsrGraph> post) {
-  if (!live()) return;
+  if (dyn_graph_ == nullptr) return;  // a static CSR stays at epoch 0
   dyn::AppliedBatch b = batch;
   check::MutexLock lock(dyn_mu_);
   adopt_batch(b, std::move(post));
@@ -197,14 +175,11 @@ void QueryEngine::adopt_batch(dyn::AppliedBatch& b,
   PEEK_COUNT_INC("serve.batches");
 
   // Swap in the post-mutation snapshot: the caller-provided one when the
-  // fleet already built it (see note_batch), else a cheap weight patch when
-  // the batch was reweight-only, else a full re-pack.
-  const std::shared_ptr<const graph::CsrGraph> pre = dyn_snapshot_;
-  dyn_snapshot_ =
-      post ? std::move(post)
-           : std::make_shared<const graph::CsrGraph>(
-                 pre ? dyn::patched_csr(*dyn_graph_, *pre, b)
-                     : dyn_graph_->to_csr());
+  // fleet already built it (see note_batch), else patched from the
+  // pre-mutation one (a weight patch when the batch was reweight-only).
+  graph_ = post ? std::move(post)
+                : std::make_shared<const graph::CsrGraph>(
+                      dyn::patched_csr(*dyn_graph_, *graph_, b));
 
   batch_history_.push_back({e, b.structural(), b.weight_delta_sum()});
   while (batch_history_.size() > 64) batch_history_.pop_front();
@@ -324,9 +299,9 @@ void QueryEngine::adopt_batch(dyn::AppliedBatch& b,
       repair_pending_->keys.insert(repair_pending_->keys.end(), keys.begin(),
                                    keys.end());
       repair_pending_->epoch = e;
-      repair_pending_->post = dyn_snapshot_;
+      repair_pending_->post = graph_;
     } else {
-      repair_pending_ = RepairTask{e, dyn_snapshot_, std::move(jobs),
+      repair_pending_ = RepairTask{e, graph_, std::move(jobs),
                                    std::move(keys)};
     }
   }
@@ -348,12 +323,10 @@ void QueryEngine::repair_loop() {
     if (rr.status.ok()) {
       check::MutexLock lock(dyn_mu_);
       if (mutation_epoch_.load(std::memory_order_relaxed) == task.epoch) {
-        if (opts_.cache_trees) {
-          for (std::size_t i = 0; i < task.jobs.size(); ++i) {
-            if (rr.trees[i]) {
-              cache_.put_tree(task.keys[i].first, task.keys[i].second,
-                              rr.trees[i], generation(), task.epoch);
-            }
+        for (std::size_t i = 0; i < task.jobs.size(); ++i) {
+          if (rr.trees[i]) {
+            cache_.put_tree(task.keys[i].first, task.keys[i].second,
+                            rr.trees[i], generation(), task.epoch);
           }
         }
         check::MutexLock slock(stale_mu_);
@@ -396,10 +369,6 @@ void QueryEngine::drain_repairs() {
 
 void QueryEngine::reset_epoch(std::uint64_t epoch) {
   check::MutexLock lock(dyn_mu_);
-  if (dyn_graph_ != nullptr) {
-    dyn_snapshot_ =
-        std::make_shared<const graph::CsrGraph>(dyn_graph_->to_csr());
-  }
   batch_history_.clear();
   {
     check::MutexLock rlock(repair_mu_);
@@ -420,10 +389,6 @@ bool QueryEngine::publish_tree(
     ArtifactKind kind, vid_t v,
     const std::shared_ptr<const sssp::SsspResult>& tree, std::uint64_t gen,
     std::uint64_t epoch0) {
-  if (!live()) {
-    cache_.put_tree(kind, v, tree, gen);
-    return true;
-  }
   check::MutexLock lock(dyn_mu_);
   if (mutation_epoch_.load(std::memory_order_relaxed) != epoch0) return false;
   cache_.put_tree(kind, v, tree, gen, epoch0);
@@ -434,10 +399,6 @@ bool QueryEngine::publish_snapshot(vid_t s, vid_t t,
                                    const std::shared_ptr<PrunedSnapshot>& snap,
                                    std::uint64_t gen, std::uint64_t epoch0,
                                    ServeResult& out) {
-  if (!live()) {
-    if (!cache_.put_snapshot(s, t, snap, gen)) out.uncached = true;
-    return true;
-  }
   check::MutexLock lock(dyn_mu_);
   if (mutation_epoch_.load(std::memory_order_relaxed) != epoch0) return false;
   if (!cache_.put_snapshot(s, t, snap, gen, epoch0)) out.uncached = true;
@@ -568,20 +529,38 @@ bool QueryEngine::serve_from_snapshot(PrunedSnapshot& snap, int k,
   return true;
 }
 
-bool QueryEngine::serve_degraded(vid_t s, vid_t t, int k, std::uint64_t gen,
-                                 ServeResult& out) {
-  if (!opts_.degraded_serving || !opts_.cache_snapshots) return false;
-  auto snap = cache_.get_snapshot(s, t, gen);
+bool QueryEngine::serve_degraded(vid_t s, vid_t t, int k, ServeResult& out) {
+  if (!opts_.degraded_serving) return false;
+  // The epoch is read before the lookup, as in query(): a hit is exact for
+  // epoch0 unless a batch swept it meanwhile (checked below).
+  const std::uint64_t epoch0 = mutation_epoch();
+  auto snap = cache_.get_snapshot(s, t, generation());
   if (!snap) return false;
-  check::MutexLock lock(snap->mu);
-  // Already-materialized paths only — a shed query must not touch the graph.
-  // An exhausted snapshot's paths are complete, so even an empty list is a
-  // definitive (unreachable) answer then.
-  if (snap->paths.empty() && !snap->exhausted) return false;
-  const size_t take = std::min<size_t>(static_cast<size_t>(k),
-                                       snap->paths.size());
-  out.paths.assign(snap->paths.begin(), snap->paths.begin() + take);
-  out.upper_bound = snap->upper_bound;
+  {
+    check::MutexLock lock(snap->mu);
+    // Already-materialized paths only — a shed query must not touch the
+    // graph. An exhausted snapshot's paths are complete, so even an empty
+    // list is a definitive (unreachable) answer then.
+    if (snap->paths.empty() && !snap->exhausted) return false;
+    const size_t take = std::min<size_t>(static_cast<size_t>(k),
+                                         snap->paths.size());
+    out.paths.assign(snap->paths.begin(), snap->paths.begin() + take);
+    out.upper_bound = snap->upper_bound;
+  }
+  // query()'s swept-entry check: a batch landed mid-lookup and swept this
+  // entry, so the paths are exact for epoch0 only. Serve them bounded-stale
+  // when every batch since was reweight-only, else not at all.
+  if (mutation_epoch() != epoch0 &&
+      cache_.get_snapshot(s, t, generation()) != snap) {
+    if (!stale_bound_since(epoch0, &out.staleness) || !out.staleness.stale) {
+      out.paths.clear();
+      out.staleness = {};
+      return false;
+    }
+    PEEK_COUNT_INC("serve.stale_answers");
+  } else {
+    out.staleness.epoch = epoch0;
+  }
   out.snapshot_hit = true;
   out.degraded = true;
   PEEK_COUNT_INC("serve.degraded");
@@ -597,7 +576,7 @@ ServeResult QueryEngine::query_cached_only(vid_t s, vid_t t, int k) {
     out.status = {fault::Status::kInvalidArgument,
                   "query requires 0 <= s,t < n and k > 0"};
     PEEK_COUNT_INC("serve.invalid_arguments");
-  } else if (!serve_degraded(s, t, k, generation(), out)) {
+  } else if (!serve_degraded(s, t, k, out)) {
     // Honors ServeOptions::degraded_serving: disabled means no cached-only
     // answers, same as the shed path.
     out.status = {fault::Status::kOverloaded,
@@ -612,30 +591,29 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
     std::uint64_t generation, std::uint64_t epoch0, ServeResult& out,
     const fault::CancelToken* cancel) {
   PEEK_TIMER_SCOPE("serve.compute");
-  std::shared_ptr<const sssp::SsspResult> fwd, rev;
-  if (opts_.cache_trees) {
-    fwd = cache_.get_tree(ArtifactKind::kForwardTree, s, generation);
-    rev = cache_.get_tree(ArtifactKind::kReverseTree, t, generation);
-    // Corruption probes: a hit flagged corrupt is dropped on the floor and
-    // recomputed — the fresh artifact overwrites the cache entry.
-    if (fwd && PEEK_FAULT_FIRE("serve.tree.corrupt")) {
-      fwd = nullptr;
-      PEEK_COUNT_INC("serve.cache.corruption_drops");
-    }
-    if (rev && PEEK_FAULT_FIRE("serve.tree.corrupt")) {
-      rev = nullptr;
-      PEEK_COUNT_INC("serve.cache.corruption_drops");
-    }
-    if (fwd || rev) {
-      // Warm-restart accounting: hits on trees that came from disk.
-      check::MutexLock lock(restored_mu_);
-      if (fwd && restored_trees_.count(
-                     {static_cast<int>(ArtifactKind::kForwardTree), s}) > 0)
-        PEEK_COUNT_INC("serve.cache.restore_hits");
-      if (rev && restored_trees_.count(
-                     {static_cast<int>(ArtifactKind::kReverseTree), t}) > 0)
-        PEEK_COUNT_INC("serve.cache.restore_hits");
-    }
+  std::shared_ptr<const sssp::SsspResult> fwd =
+      cache_.get_tree(ArtifactKind::kForwardTree, s, generation);
+  std::shared_ptr<const sssp::SsspResult> rev =
+      cache_.get_tree(ArtifactKind::kReverseTree, t, generation);
+  // Corruption probes: a hit flagged corrupt is dropped on the floor and
+  // recomputed — the fresh artifact overwrites the cache entry.
+  if (fwd && PEEK_FAULT_FIRE("serve.tree.corrupt")) {
+    fwd = nullptr;
+    PEEK_COUNT_INC("serve.cache.corruption_drops");
+  }
+  if (rev && PEEK_FAULT_FIRE("serve.tree.corrupt")) {
+    rev = nullptr;
+    PEEK_COUNT_INC("serve.cache.corruption_drops");
+  }
+  if (fwd || rev) {
+    // Warm-restart accounting: hits on trees that came from disk.
+    check::MutexLock lock(restored_mu_);
+    if (fwd && restored_trees_.count(
+                   {static_cast<int>(ArtifactKind::kForwardTree), s}) > 0)
+      PEEK_COUNT_INC("serve.cache.restore_hits");
+    if (rev && restored_trees_.count(
+                   {static_cast<int>(ArtifactKind::kReverseTree), t}) > 0)
+      PEEK_COUNT_INC("serve.cache.restore_hits");
   }
   out.fwd_tree_hit = fwd != nullptr;
   out.rev_tree_hit = rev != nullptr;
@@ -653,37 +631,35 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
     return nullptr;  // partial artifacts are never cached
   }
 
-  if (opts_.cache_trees) {
-    // Epoch-guarded in live mode: a tree computed against a superseded
-    // snapshot is simply not cached (the answer itself is handled by the
-    // caller's epoch check).
-    if (!fwd) {
-      publish_tree(ArtifactKind::kForwardTree, s,
-                   std::make_shared<sssp::SsspResult>(pruned.from_source),
-                   generation, epoch0);
+  // Epoch-guarded: a tree computed against a superseded snapshot is simply
+  // not cached (the answer itself is handled by the caller's epoch check).
+  if (!fwd) {
+    publish_tree(ArtifactKind::kForwardTree, s,
+                 std::make_shared<sssp::SsspResult>(
+                     std::move(pruned.from_source)),
+                 generation, epoch0);
+  }
+  if (!rev) {
+    // The prune's reverse tree covers only about its kept set; the
+    // live-mutation pair tests and cone repair need the full tree to t.
+    sssp::SsspResult tree;
+    if (opts_.peek.parallel) {
+      sssp::DeltaSteppingOptions ds;
+      ds.delta = opts_.peek.delta;
+      ds.cancel = cancel;
+      tree = sssp::reverse_delta_stepping(g, t, ds);
+    } else {
+      sssp::DijkstraOptions dj;
+      dj.cancel = cancel;
+      tree = sssp::reverse_dijkstra(g, t, dj);
     }
-    if (!rev) {
-      // The prune's reverse tree covers only about its kept set; the
-      // live-mutation pair tests and cone repair need the full tree to t.
-      sssp::SsspResult tree;
-      if (opts_.peek.parallel) {
-        sssp::DeltaSteppingOptions ds;
-        ds.delta = opts_.peek.delta;
-        ds.cancel = cancel;
-        tree = sssp::reverse_delta_stepping(g, t, ds);
-      } else {
-        sssp::DijkstraOptions dj;
-        dj.cancel = cancel;
-        tree = sssp::reverse_dijkstra(g, t, dj);
-      }
-      if (tree.status != fault::Status::kOk) {
-        out.status = {tree.status, "reverse tree aborted"};
-        return nullptr;
-      }
-      publish_tree(ArtifactKind::kReverseTree, t,
-                   std::make_shared<sssp::SsspResult>(std::move(tree)),
-                   generation, epoch0);
+    if (tree.status != fault::Status::kOk) {
+      out.status = {tree.status, "reverse tree aborted"};
+      return nullptr;
     }
+    publish_tree(ArtifactKind::kReverseTree, t,
+                 std::make_shared<sssp::SsspResult>(std::move(tree)),
+                 generation, epoch0);
   }
 
   // The snapshot is private until put_snapshot publishes it, but its
@@ -739,10 +715,10 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
   PEEK_COUNT_INC("serve.queries");
   PEEK_TIMER_SCOPE("serve.query");
 
-  // Live mode: epoch0 is read before the graph snapshot, so a batch landing
-  // in between makes the publish guard fail conservatively (the snapshot is
-  // newer than the claimed epoch, never older).
-  std::uint64_t epoch0 = live() ? mutation_epoch() : 0;
+  // epoch0 is read before the graph snapshot, so a batch landing in between
+  // makes the publish guard fail conservatively (the snapshot is newer than
+  // the claimed epoch, never older).
+  std::uint64_t epoch0 = mutation_epoch();
   auto g = active_graph();
   std::uint64_t gen = generation();
   if (k <= 0 || s < 0 || s >= g->num_vertices() || t < 0 ||
@@ -788,7 +764,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
     }
     if (!admitted) {
       PEEK_COUNT_INC("serve.shed");
-      if (!serve_degraded(s, t, k, gen, out)) {
+      if (!serve_degraded(s, t, k, out)) {
         out.status = {fault::Status::kOverloaded,
                       "in-flight limit reached and no cached answer"};
       }
@@ -798,16 +774,13 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
     slot.counter = &admitted_;
   }
 
-  if (cache_.byte_budget() == 0 ||
-      (!opts_.cache_snapshots && !opts_.cache_trees)) {
-    // Memory-pressure / cache-off degradation: plain uncached PeeK. In live
-    // mode the compute can race a batch; retry against the fresh snapshot,
-    // or serve with an explicit bound when the races were reweight-only.
+  if (cache_.byte_budget() == 0) {
+    // Memory-pressure degradation: plain uncached PeeK. The compute can race
+    // a batch; retry against the fresh snapshot, or serve with an explicit
+    // bound when the races were reweight-only.
     for (int attempt = 0;; ++attempt) {
-      if (live()) {
-        epoch0 = mutation_epoch();
-        g = active_graph();
-      }
+      epoch0 = mutation_epoch();
+      g = active_graph();
       core::PeekOptions po = opts_.peek;
       po.k = k;
       po.cancel = cancel;
@@ -816,7 +789,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
       out.upper_bound = r.upper_bound;
       out.status.code = r.status;
       out.uncached = true;
-      if (live() && mutation_epoch() != epoch0) {
+      if (mutation_epoch() != epoch0) {
         if (!stale_bound_since(epoch0, &out.staleness)) {
           if (attempt < kMaxEpochRetries) {
             out = ServeResult{};
@@ -838,7 +811,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
     }
     // Content-epoch stamp (see Staleness::epoch): fresh answers claim the
     // epoch their compute was validated against.
-    if (live() && !out.staleness.stale) out.staleness.epoch = epoch0;
+    if (!out.staleness.stale) out.staleness.epoch = epoch0;
     certify_result(*g, s, t, out);
     out.seconds = seconds_since(t0);
     return out;
@@ -851,57 +824,53 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
     // (snapshot + epoch) may have landed while this query waited coalesced
     // or lost an epoch race.
     gen = generation();
-    if (live()) {
-      epoch0 = mutation_epoch();
-      g = active_graph();
-    }
+    epoch0 = mutation_epoch();
+    g = active_graph();
 
-    if (opts_.cache_snapshots) {
-      if (auto snap = cache_.get_snapshot(s, t, gen)) {
-        if (PEEK_FAULT_FIRE("serve.snapshot.corrupt")) {
-          // Corruption probe: drop the hit, recompute below; the fresh
-          // snapshot replaces the doubted entry.
-          PEEK_COUNT_INC("serve.cache.corruption_drops");
-        } else if (serve_from_snapshot(*snap, k, out, cancel)) {
-          if (live() && mutation_epoch() != epoch0 &&
-              cache_.get_snapshot(s, t, generation()) != snap) {
-            // A batch landed mid-serve AND swept this entry: the answer
-            // belongs to epoch0. Bound it or retry. (A surviving entry was
-            // restamped — the batch provably did not affect this pair, so
-            // the answer is fresh and falls through.)
-            if (stale_bound_since(epoch0, &out.staleness) &&
-                out.staleness.stale) {
-              out.snapshot_hit = true;
-              PEEK_COUNT_INC("serve.stale_answers");
-              PEEK_GAUGE_SET(
-                  "serve.staleness.epochs_behind",
-                  static_cast<std::int64_t>(out.staleness.epochs_behind));
-              break;
-            }
-            if (++epoch_races <= kMaxEpochRetries) {
-              out = ServeResult{};
-              continue;
-            }
-            out.status = {fault::Status::kOverloaded,
-                          "mutation storm outran the query"};
+    if (auto snap = cache_.get_snapshot(s, t, gen)) {
+      if (PEEK_FAULT_FIRE("serve.snapshot.corrupt")) {
+        // Corruption probe: drop the hit, recompute below; the fresh
+        // snapshot replaces the doubted entry.
+        PEEK_COUNT_INC("serve.cache.corruption_drops");
+      } else if (serve_from_snapshot(*snap, k, out, cancel)) {
+        if (mutation_epoch() != epoch0 &&
+            cache_.get_snapshot(s, t, generation()) != snap) {
+          // A batch landed mid-serve AND swept this entry: the answer
+          // belongs to epoch0. Bound it or retry. (A surviving entry was
+          // restamped — the batch provably did not affect this pair, so
+          // the answer is fresh and falls through.)
+          if (stale_bound_since(epoch0, &out.staleness) &&
+              out.staleness.stale) {
+            out.snapshot_hit = true;
+            PEEK_COUNT_INC("serve.stale_answers");
+            PEEK_GAUGE_SET(
+                "serve.staleness.epochs_behind",
+                static_cast<std::int64_t>(out.staleness.epochs_behind));
             break;
           }
-          out.snapshot_hit = true;
-          PEEK_COUNT_INC("serve.snapshot_hits");
+          if (++epoch_races <= kMaxEpochRetries) {
+            out = ServeResult{};
+            continue;
+          }
+          out.status = {fault::Status::kOverloaded,
+                        "mutation storm outran the query"};
           break;
         }
-        // Budget too small for this K: recompute below with a wider bound
-        // (the new snapshot replaces the old entry).
+        out.snapshot_hit = true;
+        PEEK_COUNT_INC("serve.snapshot_hits");
+        break;
       }
+      // Budget too small for this K: recompute below with a wider bound
+      // (the new snapshot replaces the old entry).
     }
 
-    // Bounded-staleness serving (live mode): the pair's snapshot was
+    // Bounded-staleness serving: the pair's snapshot was
     // displaced by a reweight-only batch and its repair is still in flight —
     // answer from the pre-mutation snapshot with an explicit staleness
     // bound rather than blocking on a fresh compute. Entry, epoch and bound
     // are read under one stale_mu_ hold (adopt_batch stores the epoch inside
     // its stale_mu_ section), so the tuple is internally consistent.
-    if (live() && opts_.cache_snapshots) {
+    {
       std::shared_ptr<PrunedSnapshot> stale_snap;
       Staleness st;
       {
@@ -1001,11 +970,11 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
       if (!published) break;  // cancelled while coalesced; status already set
       out.coalesced = true;
       PEEK_COUNT_INC("serve.coalesced_waits");
-      // Live mode: revalidate through the cache instead of serving the
-      // owner's direct reference — a batch may have swept the entry between
-      // the owner's publish and this wake-up, and the loop top re-checks
-      // freshness (cache hit, stale table, or recompute).
-      if (live()) continue;
+      // A dynamic graph's engine revalidates through the cache instead of
+      // serving the owner's direct reference — a batch may have swept the
+      // entry between the owner's publish and this wake-up, and the loop top
+      // re-checks freshness (cache hit, stale table, or recompute).
+      if (dyn_graph_ != nullptr) continue;
       if (published_snap &&
           serve_from_snapshot(*published_snap, k, out, cancel))
         break;
@@ -1027,11 +996,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
     bool epoch_ok = true;
     if (snap) {
       serve_from_snapshot(*snap, k, out, cancel);
-      if (opts_.cache_snapshots) {
-        epoch_ok = publish_snapshot(s, t, snap, gen, epoch0, out);
-      } else if (live()) {
-        epoch_ok = mutation_epoch() == epoch0;
-      }
+      epoch_ok = publish_snapshot(s, t, snap, gen, epoch0, out);
     }
     // Publish (null on failure: waiters retry on their own token) and always
     // release the key — cancelled or not, no in-flight entry may leak.
@@ -1085,7 +1050,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
   // computes passed the epoch0 publish guard. (A hit that survived a
   // concurrent sweep is exact for a *newer* epoch too; claiming epoch0
   // under-claims, which the fleet fence treats conservatively.)
-  if (live() && !out.staleness.stale) out.staleness.epoch = epoch0;
+  if (!out.staleness.stale) out.staleness.epoch = epoch0;
   certify_result(*g, s, t, out);
   out.seconds = seconds_since(t0);
   return out;
@@ -1215,53 +1180,48 @@ int QueryEngine::persist() {
   // stall every concurrent query hashing into that shard.
   std::vector<recover::TreeArtifact> trees;
   std::vector<recover::PrunedSnapshotArtifact> snaps;
-  if (opts_.cache_trees) {
-    cache_.for_each_tree([&](ArtifactKind kind, vid_t v,
-                             const std::shared_ptr<const sssp::SsspResult>&
-                                 tree,
-                             std::uint64_t tgen) {
-      if (tgen != gen) return;  // stale generation: useless after restart
-      recover::TreeArtifact a;
-      a.fingerprint = fp;
-      a.root = v;
-      a.reverse = kind == ArtifactKind::kReverseTree;
-      a.tree = *tree;
-      trees.push_back(std::move(a));
-    });
-  }
-  if (opts_.cache_snapshots) {
-    cache_.for_each_snapshot([&](vid_t, vid_t,
-                                 const std::shared_ptr<PrunedSnapshot>& snap,
-                                 std::uint64_t sgen) {
-      if (sgen != gen) return;
-      recover::PrunedSnapshotArtifact a;
-      a.fingerprint = fp;
-      {
-        check::MutexLock lock(snap->mu);
-        a.s = snap->s;
-        a.t = snap->t;
-        a.k_budget = snap->k_budget;
-        a.upper_bound = snap->upper_bound;
-        a.exhausted = snap->exhausted;
-        a.reachable = snap->graph != nullptr;
-        if (snap->graph) {
-          a.graph = *snap->graph;
-          a.map = snap->map;
-          if (snap->stream && snap->stream->has_reverse_tree()) {
-            a.has_rtree = true;
-            a.rtree = snap->stream->reverse_tree();
-          } else if (snap->restored_has_rtree) {
-            // Restored but never extended: pass the persisted tree through
-            // unchanged so the next restart keeps the exact tie-breaks.
-            a.has_rtree = true;
-            a.rtree = snap->restored_rtree;
-          }
+  cache_.for_each_tree([&](ArtifactKind kind, vid_t v,
+                           const std::shared_ptr<const sssp::SsspResult>& tree,
+                           std::uint64_t tgen) {
+    if (tgen != gen) return;  // stale generation: useless after restart
+    recover::TreeArtifact a;
+    a.fingerprint = fp;
+    a.root = v;
+    a.reverse = kind == ArtifactKind::kReverseTree;
+    a.tree = *tree;
+    trees.push_back(std::move(a));
+  });
+  cache_.for_each_snapshot([&](vid_t, vid_t,
+                               const std::shared_ptr<PrunedSnapshot>& snap,
+                               std::uint64_t sgen) {
+    if (sgen != gen) return;
+    recover::PrunedSnapshotArtifact a;
+    a.fingerprint = fp;
+    {
+      check::MutexLock lock(snap->mu);
+      a.s = snap->s;
+      a.t = snap->t;
+      a.k_budget = snap->k_budget;
+      a.upper_bound = snap->upper_bound;
+      a.exhausted = snap->exhausted;
+      a.reachable = snap->graph != nullptr;
+      if (snap->graph) {
+        a.graph = *snap->graph;
+        a.map = snap->map;
+        if (snap->stream && snap->stream->has_reverse_tree()) {
+          a.has_rtree = true;
+          a.rtree = snap->stream->reverse_tree();
+        } else if (snap->restored_has_rtree) {
+          // Restored but never extended: pass the persisted tree through
+          // unchanged so the next restart keeps the exact tie-breaks.
+          a.has_rtree = true;
+          a.rtree = snap->restored_rtree;
         }
-        a.paths = snap->paths;
       }
-      snaps.push_back(std::move(a));
-    });
-  }
+      a.paths = snap->paths;
+    }
+    snaps.push_back(std::move(a));
+  });
   for (const recover::TreeArtifact& a : trees) {
     publish(std::string("tree_") + (a.reverse ? "r" : "f") + "_" +
                 std::to_string(a.root) + ".snap",

@@ -23,18 +23,16 @@
 // with budget B is sound for every K <= B (Theorem 4.3 with the larger
 // bound b_B >= b_K), so one cached K = 32 run serves K ∈ [1, 32] exactly.
 //
-// Mutability: a QueryEngine over a dyn::DynamicGraph re-snapshots the CSR
-// and bumps the cache generation whenever the graph's structural version
-// changed — stale artifacts then die lazily on their next lookup. With
-// ServeOptions::live_mutations the engine instead runs the surgical
-// live-mutation pipeline (DESIGN.md §15): batches arrive through
-// apply_batch()/note_batch(), which compute each cached artifact's affected
-// region (dyn/update_batch.hpp), keep provably-unaffected entries valid via
-// per-artifact region stamps, queue cone repairs of affected SSSP trees on a
-// background thread (dyn/repair.hpp), and park reweight-affected snapshots
-// in a stale side table that serves bounded-staleness answers while the
-// repair is in flight — every such answer carries ServeResult::staleness
-// (epochs behind + a conservative per-rank weight error bound).
+// Mutability: an engine over a dyn::DynamicGraph runs the live-mutation
+// pipeline (DESIGN.md §15); an engine over a static CSR runs the same code at
+// mutation epoch 0. Batches arrive through apply_batch()/note_batch(), which
+// compute each cached artifact's affected region (dyn/update_batch.hpp), keep
+// provably-unaffected entries valid via per-artifact region stamps, queue
+// cone repairs of affected SSSP trees on a background thread
+// (dyn/repair.hpp), and park reweight-affected snapshots in a stale side
+// table that serves bounded-staleness answers while the repair is in flight
+// — every answer carries ServeResult::staleness (its content epoch, epochs
+// behind, and a conservative per-rank weight error bound).
 //
 // Degradation: with a zero cache budget every query runs plain peek_ksp;
 // artifacts larger than a cache shard are served but not retained.
@@ -76,8 +74,6 @@ struct ServeOptions {
   /// A miss for K prunes with max(K, k_budget_floor) rounded up to a power
   /// of two, so the snapshot serves larger follow-up Ks without re-pruning.
   int k_budget_floor = 32;
-  bool cache_trees = true;
-  bool cache_snapshots = true;
   /// Deadline applied to queries that do not pass their own (<=0 = none).
   /// A tripped deadline returns Status::kDeadlineExceeded with the best
   /// <=K paths accepted before the trip.
@@ -108,14 +104,6 @@ struct ServeOptions {
   /// into Status::kInternal with ServeResult::certificate_failed set; the
   /// sharded fleet treats that as replica corruption (DESIGN.md §14).
   bool certify = false;
-  /// Surgical live-mutation mode (DESIGN.md §15), dynamic-graph engines
-  /// only: mutations arrive exclusively through apply_batch()/note_batch()
-  /// — which surgically invalidate affected artifacts, queue background
-  /// cone repairs, and serve bounded-staleness answers meanwhile — instead
-  /// of the legacy wholesale re-snapshot on every version change. In this
-  /// mode the caller must not mutate the DynamicGraph behind the engine's
-  /// back. Ignored for static graphs.
-  bool live_mutations = false;
 };
 
 /// Per-query knobs of QueryEngine::query.
@@ -138,11 +126,11 @@ struct QueryOptions {
 /// recomputed fresh against the post-mutation graph.
 struct Staleness {
   bool stale = false;
-  /// Mutation epoch the served paths are exact for. Live-mutation engines
-  /// stamp this on every answer, stale or not (epochs_behind is 0 and the
-  /// bound exact for fresh ones) — `epoch + epochs_behind` is the engine's
-  /// mutation epoch at serve time, which the sharded fleet's epoch fencing
-  /// compares against the fleet-wide fence (DESIGN.md §15).
+  /// Mutation epoch the served paths are exact for, stamped on every answer,
+  /// stale, degraded or not (epochs_behind is 0 and the bound exact for fresh
+  /// ones; always 0 on a static engine) — `epoch + epochs_behind` is the
+  /// engine's mutation epoch at serve time, which the sharded fleet's epoch
+  /// fencing compares against the fleet-wide fence (DESIGN.md §15).
   std::uint64_t epoch = 0;
   /// Engine mutation epoch at serve time minus `epoch`.
   std::uint64_t epochs_behind = 0;
@@ -169,8 +157,7 @@ struct ServeResult {
   /// ServeOptions::certify rejected the answer (status is kInternal): the
   /// paths failed the §14 certificate and must not be served.
   bool certificate_failed = false;
-  /// Bounded-staleness provenance (live-mutation mode only; stale is false
-  /// for every exact answer).
+  /// Bounded-staleness provenance (stale is false for every exact answer).
   Staleness staleness;
   double seconds = 0;         // wall time of this query() call
 };
@@ -180,16 +167,14 @@ struct ServeResult {
 class QueryEngine {
  public:
   explicit QueryEngine(const graph::CsrGraph& g, const ServeOptions& opts = {});
-  /// Serve a dynamic graph. Legacy mode (live_mutations off): each query
-  /// reconciles against dg.version() — an atomic with release/acquire
-  /// ordering, so mutations may race queries freely — re-packing the CSR
-  /// snapshot and invalidating the cache when the version moved. Live mode:
-  /// see ServeOptions::live_mutations and apply_batch().
+  /// Serve a dynamic graph through the live-mutation pipeline. The engine
+  /// snapshots `dg` here; from then on every edit must reach it as a batch
+  /// (note_batch(dyn::apply(dg, batch)), or apply_batch() on the mutable
+  /// overload) — the engine never reads `dg` behind a batch.
   explicit QueryEngine(const dyn::DynamicGraph& dg,
                        const ServeOptions& opts = {});
   /// Mutable-graph overload: additionally enables apply_batch() (the engine
-  /// owns mutation ordering). Required for live_mutations' apply_batch
-  /// entry point; note_batch() works with either constructor.
+  /// owns mutation ordering); note_batch() works with either constructor.
   explicit QueryEngine(dyn::DynamicGraph& dg, const ServeOptions& opts = {});
   ~QueryEngine();
 
@@ -213,12 +198,13 @@ class QueryEngine {
   /// Degraded-only lookup: answers from already-materialized cached paths
   /// with zero graph work (the shed-path logic, callable directly). Returns
   /// kOk with ServeResult::degraded set — possibly fewer than k paths, but
-  /// always an exact prefix of the true answer — or kOverloaded when
-  /// nothing usable is cached. The sharded serving tier uses this to probe
-  /// surviving replicas' caches when a query's home shard is down.
+  /// always an exact prefix of the answer at its stamped content epoch — or
+  /// kOverloaded when nothing usable is cached. The sharded serving tier
+  /// uses this to probe surviving replicas' caches when a query's home shard
+  /// is down.
   ServeResult query_cached_only(vid_t s, vid_t t, int k);
 
-  /// Manual cache invalidation (e.g. out-of-band graph edits): bumps the
+  /// Manual cache invalidation (e.g. dropping suspect caches): bumps the
   /// generation so every cached artifact becomes stale, and unpins the
   /// coalescing map — stale in-flight owners are cancelled (via their
   /// per-entry abort token) and their waiters woken so both retry against
@@ -245,7 +231,7 @@ class QueryEngine {
   /// never read the shared DynamicGraph concurrently with a later mutation.
   /// Null = derive locally from the current snapshot (standalone engines,
   /// where apply_batch serializes mutation and adoption under dyn_mu_).
-  /// No-op outside live-mutation mode.
+  /// No-op on a static-graph engine, which stays at epoch 0.
   void note_batch(const dyn::AppliedBatch& batch,
                   std::shared_ptr<const graph::CsrGraph> post = nullptr);
 
@@ -344,7 +330,13 @@ class QueryEngine {
     weight_t bound = 0;  // sum of |Δw| over applied reweights
   };
 
-  /// The CSR to serve this query from (re-snapshots a dynamic source).
+  /// Shared body of the public constructors: `g` is the graph to serve
+  /// (a non-owning alias of a static CSR, or a dynamic graph's snapshot,
+  /// taken before warm restart reads it); `dg` is null for a static CSR.
+  QueryEngine(std::shared_ptr<const graph::CsrGraph> g,
+              const dyn::DynamicGraph* dg, const ServeOptions& opts);
+
+  /// The CSR to serve this query from: graph_, read under dyn_mu_.
   std::shared_ptr<const graph::CsrGraph> active_graph();
   /// Full pipeline on a miss; fills the tree-hit flags of `out`. Returns
   /// null with out.status set when the pipeline was cancelled or failed —
@@ -376,9 +368,10 @@ class QueryEngine {
   /// files that pass checksums but fail semantic decode.
   void restore_from_dir();
   /// Shed-path degraded answer: cached already-produced paths only, no graph
-  /// work. False when nothing usable is cached.
-  bool serve_degraded(vid_t s, vid_t t, int k, std::uint64_t gen,
-                      ServeResult& out);
+  /// work, stamped with their content epoch like any other answer. False
+  /// when nothing usable is cached, or a structural batch swept the entry
+  /// mid-lookup.
+  bool serve_degraded(vid_t s, vid_t t, int k, ServeResult& out);
   /// ServeOptions::certify hook: validates a non-degraded kOk answer
   /// against `g` and downgrades it to kInternal on a failed certificate
   /// (serve.certify.checks / serve.certify.failures).
@@ -386,8 +379,6 @@ class QueryEngine {
                       ServeResult& out);
   int budget_for(int k) const;
 
-  /// Live-mutation mode is active (dynamic graph + opts_.live_mutations).
-  bool live() const { return dyn_graph_ != nullptr && opts_.live_mutations; }
   /// Batch adoption body; stamps b.epoch when 0. See note_batch().
   void adopt_batch(dyn::AppliedBatch& b,
                    std::shared_ptr<const graph::CsrGraph> post)
@@ -398,10 +389,10 @@ class QueryEngine {
   /// or the repair crashed (falls back to wholesale invalidation; a crash
   /// never leaves an unbounded-stale answer servable).
   void repair_loop();
-  /// Epoch-guarded artifact publication: in live mode, an artifact computed
-  /// at `epoch0` may enter the cache only while the epoch is still epoch0
-  /// (checked and inserted under dyn_mu_, so no sweep interleaves). Returns
-  /// false when the epoch moved — the caller's answer raced a batch.
+  /// Epoch-guarded artifact publication: an artifact computed at `epoch0`
+  /// may enter the cache only while the epoch is still epoch0 (checked and
+  /// inserted under dyn_mu_, so no sweep interleaves). Returns false when
+  /// the epoch moved — the caller's answer raced a batch.
   bool publish_tree(ArtifactKind kind, vid_t v,
                     const std::shared_ptr<const sssp::SsspResult>& tree,
                     std::uint64_t gen, std::uint64_t epoch0);
@@ -416,18 +407,19 @@ class QueryEngine {
   /// no weight bound covers — recompute instead).
   bool stale_bound_since(std::uint64_t epoch0, Staleness* out);
 
-  const graph::CsrGraph* static_graph_ = nullptr;
-  const dyn::DynamicGraph* dyn_graph_ = nullptr;
+  const dyn::DynamicGraph* dyn_graph_ = nullptr;  // null for a static CSR
   dyn::DynamicGraph* mutable_dyn_ = nullptr;  // set by the mutable ctor
   check::Mutex dyn_mu_;
-  std::shared_ptr<const graph::CsrGraph> dyn_snapshot_ PEEK_GUARDED_BY(dyn_mu_);
-  std::uint64_t dyn_version_seen_ PEEK_GUARDED_BY(dyn_mu_) = 0;
+  /// The graph served at the current epoch: a non-owning alias of a static
+  /// CSR (it never moves), or a dynamic graph's snapshot, swapped by
+  /// adopt_batch.
+  std::shared_ptr<const graph::CsrGraph> graph_ PEEK_GUARDED_BY(dyn_mu_);
   /// Recent batch impacts, newest last (bounded; feeds stale_bound_since).
   std::deque<BatchImpact> batch_history_ PEEK_GUARDED_BY(dyn_mu_);
 
-  /// Epoch counters (live mode). mutation_epoch_ is stored inside
-  /// note_batch's stale_mu_ section so a reader holding stale_mu_ sees a
-  /// side table consistent with the epoch it reads.
+  /// Epoch counters (0 forever on a static engine). mutation_epoch_ is
+  /// stored inside note_batch's stale_mu_ section so a reader holding
+  /// stale_mu_ sees a side table consistent with the epoch it reads.
   std::atomic<std::uint64_t> mutation_epoch_{0};
   std::atomic<std::uint64_t> repaired_epoch_{0};
 

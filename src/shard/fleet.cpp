@@ -164,13 +164,17 @@ ShardFleet::ShardFleet(const graph::CsrGraph* g, dyn::DynamicGraph* dg,
   // re-install it (configure() resets the fired counters) — and neither may
   // a healing rebuild mid-soak.
   opts_.serve.injector.reset();
-  if (dyn_graph_ != nullptr) {
-    // Live-mutation fleet: replicas must run the surgical pipeline — legacy
-    // per-query version reconciliation would race apply_batch's fan-out.
-    opts_.serve.live_mutations = true;
-    // Uncontended (no thread exists yet); taken so the annotations hold.
+  {
+    // The fence CSR: a static CSR (a non-owning alias; the fence stays at 0
+    // and the CSR never moves), or the dynamic graph's snapshot, which
+    // apply_batch advances. Uncontended (no thread exists yet); taken so the
+    // annotations hold.
     check::MutexLock lock(fence_mu_);
-    fence_csr_ = std::make_shared<const graph::CsrGraph>(dyn_graph_->to_csr());
+    fence_csr_ =
+        dg != nullptr
+            ? std::make_shared<const graph::CsrGraph>(dg->to_csr())
+            : std::shared_ptr<const graph::CsrGraph>(
+                  g, [](const graph::CsrGraph*) {});
   }
 
   shards_.reserve(static_cast<size_t>(router_.shards()));
@@ -183,13 +187,7 @@ ShardFleet::ShardFleet(const graph::CsrGraph* g, dyn::DynamicGraph* dg,
         // Uncontended (no worker exists yet); taken so the annotation on
         // `engine` holds unconditionally.
         check::MutexLock lock(rep->engine_mu);
-        rep->engine =
-            dyn_graph_ != nullptr
-                ? std::make_shared<serve::QueryEngine>(
-                      static_cast<const dyn::DynamicGraph&>(*dyn_graph_),
-                      engine_options(sh, r))
-                : std::make_shared<serve::QueryEngine>(*graph_,
-                                                       engine_options(sh, r));
+        rep->engine = make_engine(sh, r);
       }
       shard->replicas.push_back(std::move(rep));
     }
@@ -231,7 +229,8 @@ ShardFleet::~ShardFleet() {
   }
 }
 
-serve::ServeOptions ShardFleet::engine_options(int shard, int replica) const {
+std::shared_ptr<serve::QueryEngine> ShardFleet::make_engine(int shard,
+                                                            int replica) const {
   serve::ServeOptions eo = opts_.serve;
   if (!eo.snapshot_dir.empty()) {
     // Per-replica snapshot directory: replicas never clobber each other's
@@ -239,7 +238,11 @@ serve::ServeOptions ShardFleet::engine_options(int shard, int replica) const {
     eo.snapshot_dir += "/s" + std::to_string(shard) + ".r" +
                        std::to_string(replica);
   }
-  return eo;
+  if (dyn_graph_ != nullptr) {
+    return std::make_shared<serve::QueryEngine>(
+        static_cast<const dyn::DynamicGraph&>(*dyn_graph_), eo);
+  }
+  return std::make_shared<serve::QueryEngine>(*graph_, eo);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,8 +259,7 @@ dyn::AppliedBatch ShardFleet::apply_batch(const dyn::UpdateBatch& batch) {
   // — replicas adopting it later must never read the DynamicGraph itself,
   // which the next apply_batch may be mutating by then.
   auto post = std::make_shared<const graph::CsrGraph>(
-      fence_csr_ ? dyn::patched_csr(*dyn_graph_, *fence_csr_, b)
-                 : dyn_graph_->to_csr());
+      dyn::patched_csr(*dyn_graph_, *fence_csr_, b));
   fence_csr_ = post;
   fence_history_.push_back({b.epoch, b.structural(), b.weight_delta_sum()});
   while (fence_history_.size() > 64) fence_history_.pop_front();
@@ -277,7 +279,6 @@ dyn::AppliedBatch ShardFleet::apply_batch(const dyn::UpdateBatch& batch) {
 }
 
 void ShardFleet::deliver_pending(Replica& rep) {
-  if (dyn_graph_ == nullptr) return;
   // apply_mu serializes concurrent drainers: pops happen in queue (= epoch)
   // order and each batch reaches the engine before the next one is popped.
   check::MutexLock alock(rep.apply_mu);
@@ -298,7 +299,6 @@ void ShardFleet::deliver_pending(Replica& rep) {
 }
 
 void ShardFleet::deliver_batches() {
-  if (dyn_graph_ == nullptr) return;
   for (auto& sh : shards_) {
     for (auto& rep : sh->replicas) deliver_pending(*rep);
   }
@@ -369,9 +369,12 @@ void ShardFleet::worker_loop(Replica& rep) {
         r.paths.back().dist += weight_t{1};
       }
     }
-    // Every real completion (served or bounced) feeds the EWMA; attempts
-    // cancelled before dispatch say nothing about this replica's health.
-    if (bounced || dispatched) {
+    // Every real completion (served or bounced) feeds the EWMA. Attempts
+    // cancelled before dispatch, or ending kCancelled mid-compute (a lost
+    // hedge, a caller cancel), say nothing about this replica's health; a
+    // deadline tripped mid-compute still counts as a timeout.
+    if (bounced ||
+        (dispatched && r.status.code != fault::Status::kCancelled)) {
       HealthSignal sig;
       sig.ok = r.status.code == fault::Status::kOk;
       sig.timeout = r.status.code == fault::Status::kDeadlineExceeded;
@@ -564,13 +567,19 @@ bool ShardFleet::try_degraded(vid_t s, vid_t t, int k, int home,
       if (rep.breaker.forced_open() || rep.breaker.quarantined()) continue;
       serve::ServeResult res =
           rep.engine_snapshot()->query_cached_only(s, t, k);
-      if (res.status.code == fault::Status::kOk) {
-        out.result = std::move(res);
-        out.shard = sh;
-        out.replica = r;
-        out.failover = sh != home;
-        return true;
-      }
+      if (res.status.code != fault::Status::kOk) continue;
+      // Fenced like any other answer: cached paths behind the fence are
+      // widened across a reweight-only gap and skipped across a structural
+      // one.
+      const std::uint64_t eff =
+          res.staleness.epoch + res.staleness.epochs_behind;
+      const std::uint64_t fence = fence_epoch();
+      if (eff < fence && !fence_result(res, eff, fence)) continue;
+      out.result = std::move(res);
+      out.shard = sh;
+      out.replica = r;
+      out.failover = sh != home;
+      return true;
     }
   }
   return false;
@@ -621,15 +630,14 @@ FleetResult ShardFleet::query(vid_t s, vid_t t, int k,
     out.hedge_won = out.hedge_won || ro.hedge_won;
     if (!ro.unavailable) {
       const int won_shard = ro.shard >= 0 ? ro.shard : shard;
-      if (dyn_graph_ != nullptr &&
-          ro.result.status.code == fault::Status::kOk && !ro.result.degraded) {
-        // Epoch fence: the answer's engine served it at epoch
-        // `staleness.epoch + epochs_behind`. Behind the fence, it must not
-        // be returned as-is — widen it into an explicitly-bounded stale
-        // answer (reweight-only gap), else force-deliver the lagging
+      if (ro.result.status.code == fault::Status::kOk) {
+        // Epoch fence, degraded answers included: the answer's engine served
+        // it at epoch `staleness.epoch + epochs_behind`. Behind the fence, it
+        // must not be returned as-is — widen it into an explicitly-bounded
+        // stale answer (reweight-only gap), else force-deliver the lagging
         // replica's backlog and retry the ladder. Either way no ladder ever
         // mixes epochs: every non-stale answer it returns is at (or past)
-        // the fence read here.
+        // the fence read here. A static fleet stays at fence 0.
         const std::uint64_t eff =
             ro.result.staleness.epoch + ro.result.staleness.epochs_behind;
         const std::uint64_t fence =
@@ -656,20 +664,18 @@ FleetResult ShardFleet::query(vid_t s, vid_t t, int k,
       }
       if (opts_.certify && ro.result.status.code == fault::Status::kOk &&
           !ro.result.degraded && !ro.result.staleness.stale) {
-        // Certification graph: the static CSR, or — live mutations — the
-        // fence CSR, valid only while the answer's epoch still IS the fence
-        // (a batch landing after the fence check above skips certification
-        // for this answer; the engine-side guards already validated it).
-        std::shared_ptr<const graph::CsrGraph> live_cg;
-        if (dyn_graph_ != nullptr) {
+        // Certification graph: the fence CSR, valid only while the answer's
+        // epoch still IS the fence (a batch landing after the fence check
+        // above skips certification for this answer; the engine-side guards
+        // already validated it).
+        std::shared_ptr<const graph::CsrGraph> cg;
+        {
           check::MutexLock lock(fence_mu_);
           if (ro.result.staleness.epoch ==
               fence_epoch_.load(std::memory_order_relaxed)) {
-            live_cg = fence_csr_;
+            cg = fence_csr_;
           }
         }
-        const graph::CsrGraph* cg =
-            dyn_graph_ != nullptr ? live_cg.get() : graph_;
         if (cg != nullptr) {
           PEEK_COUNT_INC("serve.certify.checks");
           check::CertifyOptions co;
@@ -712,7 +718,7 @@ FleetResult ShardFleet::query(vid_t s, vid_t t, int k,
       PEEK_COUNT_INC("shard.failovers");
       continue;
     }
-    if (opts_.degraded_fallback && try_degraded(s, t, k, home, out)) {
+    if (try_degraded(s, t, k, home, out)) {
       PEEK_COUNT_INC("shard.degraded_fallbacks");
       break;
     }
@@ -783,32 +789,23 @@ void ShardFleet::heal_replica(int shard, int replica) {
   // quarantined on disk, not loaded). No injector config here — rebuilding
   // mid-soak must not reset the global injector's fired counters.
   try {
-    if (dyn_graph_ != nullptr) {
-      // Fence-consistent rebuild: construction, epoch alignment, backlog
-      // clear and swap all happen under the fence lock, so no batch can land
-      // between the fresh engine's graph snapshot and the moment it takes
-      // traffic. The snapshot reflects every batch <= the fence (the graph
-      // only mutates under fence_mu_), reset_epoch claims exactly that, and
-      // the cleared pending queue held only batches the snapshot already
-      // bakes in (any concurrent drain's stale redelivery to the fresh
-      // engine is an epoch <= fence no-op).
-      check::MutexLock fence_lock(fence_mu_);
-      auto fresh = std::make_shared<serve::QueryEngine>(
-          static_cast<const dyn::DynamicGraph&>(*dyn_graph_),
-          engine_options(shard, replica));
-      fresh->reset_epoch(fence_epoch_.load(std::memory_order_relaxed));
-      {
-        check::MutexLock lock(rep.mu);
-        rep.pending.clear();
-      }
-      check::MutexLock lock(rep.engine_mu);
-      rep.engine = std::move(fresh);
-    } else {
-      auto fresh = std::make_shared<serve::QueryEngine>(
-          *graph_, engine_options(shard, replica));
-      check::MutexLock lock(rep.engine_mu);
-      rep.engine = std::move(fresh);
+    // Fence-consistent rebuild: construction, epoch alignment, backlog clear
+    // and swap all happen under the fence lock, so no batch can land between
+    // the fresh engine's graph snapshot and the moment it takes traffic. The
+    // snapshot reflects every batch <= the fence (the graph only mutates
+    // under fence_mu_), reset_epoch claims exactly that, and the cleared
+    // pending queue held only batches the snapshot already bakes in (any
+    // concurrent drain's stale redelivery to the fresh engine is an epoch <=
+    // fence no-op). A static fleet's fence stays at 0.
+    check::MutexLock fence_lock(fence_mu_);
+    auto fresh = make_engine(shard, replica);
+    fresh->reset_epoch(fence_epoch_.load(std::memory_order_relaxed));
+    {
+      check::MutexLock lock(rep.mu);
+      rep.pending.clear();
     }
+    check::MutexLock lock(rep.engine_mu);
+    rep.engine = std::move(fresh);
   } catch (const std::exception&) {
     // Rebuild failed (e.g. injected allocation failure): keep the old
     // engine — its caches are already dropped, which is restart-equivalent

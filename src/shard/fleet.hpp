@@ -37,9 +37,10 @@
 //              re-admission — and the query retries through the ladder.
 //   degrade  — when no replica anywhere admits the query, the fleet probes
 //              surviving replicas' caches via QueryEngine::query_cached_only
-//              (zero graph work) and returns a degraded prefix, else
-//              Status::kOverloaded. Never a wrong answer: every non-degraded
-//              kOk result is the exact, certified K-path set.
+//              (zero graph work) and returns a degraded prefix, fenced like
+//              any other answer, else Status::kOverloaded. Never a wrong
+//              answer: every non-degraded kOk result is the exact, certified
+//              K-path set.
 //
 // Replica availability is a per-replica circuit breaker (shard/health.hpp),
 // not a boolean: closed replicas take traffic, open ones divert it through
@@ -48,17 +49,18 @@
 // the operator force-open/force-close on that breaker.
 //
 // Live mutations (DESIGN.md §15): a fleet constructed over a
-// dyn::DynamicGraph runs every replica engine in surgical live-mutation
-// mode. apply_batch() mutates the shared graph once under the fence lock,
-// stamps the batch with the next fleet-wide fence epoch, builds the
-// post-mutation CSR once, and fans the (batch, CSR) pair into every
-// replica's pending queue — each replica adopts it at its own pace (workers
-// catch up before dispatching). Epoch fencing keeps that staggering honest:
-// the query ladder reads the fence at each completion and never returns a
-// non-stale answer from an engine behind it — a lagging answer is either
-// widened into an explicitly-bounded stale one (when every missed batch was
-// reweight-only) or bounced and retried after force-delivering the lagging
-// replica's queue (shard.epoch_bounces). Two replicas that applied the same
+// dyn::DynamicGraph serves it through dynamic-graph replica engines (a static
+// fleet runs the same ladder at fence epoch 0). apply_batch() mutates the
+// shared graph once under the fence lock, stamps the batch with the next
+// fleet-wide fence epoch, builds the post-mutation CSR once, and fans the
+// (batch, CSR) pair into every replica's pending queue — each replica adopts
+// it at its own pace (workers catch up before dispatching). Epoch fencing
+// keeps that staggering honest: the query ladder reads the fence at each
+// completion and never returns a non-stale answer, degraded or not, from an
+// engine behind it — a lagging answer is either widened into an
+// explicitly-bounded stale one (when every missed batch was reweight-only)
+// or bounced and retried after force-delivering the lagging replica's queue
+// (shard.epoch_bounces). Two replicas that applied the same
 // batch at different times therefore never mix epochs within one ladder.
 //
 // Shutdown: the destructor stops the healer and every worker after draining
@@ -108,9 +110,6 @@ struct FleetOptions {
   /// Reroute to ring-successor shards when a shard has no admitting replica.
   /// Off = strict placement: such queries go straight to degraded/reject.
   bool failover = true;
-  /// Probe surviving replicas' caches (query_cached_only) before rejecting
-  /// a query whose shard is down.
-  bool degraded_fallback = true;
   /// Per-replica health/breaker tuning (DESIGN.md §14).
   HealthOptions health;
   /// Certify every non-degraded kOk answer against the CSR; a failed
@@ -154,10 +153,10 @@ class ShardFleet {
   /// negative hedge/default_deadline/max_queue (the router validates its own
   /// options the same way).
   explicit ShardFleet(const graph::CsrGraph& g, const FleetOptions& opts = {});
-  /// Live-mutation fleet (see header comment): every replica engine runs the
-  /// surgical pipeline (ServeOptions::live_mutations is forced on), and
-  /// mutations flow exclusively through apply_batch() — the caller must not
-  /// touch `dg` behind the fleet's back. The graph must outlive the fleet.
+  /// Live-mutation fleet (see header comment): every replica engine serves
+  /// `dg`, and mutations flow exclusively through apply_batch() — the caller
+  /// must not touch `dg` behind the fleet's back. The graph must outlive the
+  /// fleet.
   explicit ShardFleet(dyn::DynamicGraph& dg, const FleetOptions& opts = {});
   ~ShardFleet();
 
@@ -260,12 +259,14 @@ class ShardFleet {
   void healer_loop();
   /// Cache drop + engine rebuild (warm restart) + quarantine release.
   void heal_replica(int shard, int replica);
-  /// Engine options for one replica (per-replica snapshot subdirectory).
-  serve::ServeOptions engine_options(int shard, int replica) const;
+  /// A fresh engine for one replica over the fleet's graph, with its own
+  /// snapshot subdirectory.
+  std::shared_ptr<serve::QueryEngine> make_engine(int shard,
+                                                  int replica) const;
   void record_latency(int shard, double seconds);
   /// Drains one replica's pending batches into its engine, in epoch order
-  /// even under concurrent drainers (per-replica apply lock). No-op on a
-  /// static-graph fleet.
+  /// even under concurrent drainers (per-replica apply lock). A static
+  /// fleet's queues stay empty.
   void deliver_pending(Replica& rep);
   /// Epoch-fence reconciliation of a completed answer whose engine was
   /// `eff` epochs into the fence's past: widens it into an explicitly-
@@ -289,11 +290,12 @@ class ShardFleet {
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Live-mutation fence state. apply_batch holds fence_mu_ across the graph
-  /// mutation, the epoch bump AND the per-replica fan-out, so pending queues
-  /// receive batches in fence-epoch order; fence_csr_ is the post-mutation
-  /// CSR at the fence (built once per batch, shared with every replica, and
-  /// the certification graph for at-fence answers).
+  /// Fence state. apply_batch holds fence_mu_ across the graph mutation, the
+  /// epoch bump AND the per-replica fan-out, so pending queues receive
+  /// batches in fence-epoch order; fence_csr_ is the CSR at the fence (built
+  /// once per batch, shared with every replica, and the certification graph
+  /// for at-fence answers) — a non-owning alias of a static fleet's CSR,
+  /// which never moves.
   mutable check::Mutex fence_mu_;
   std::shared_ptr<const graph::CsrGraph> fence_csr_ PEEK_GUARDED_BY(fence_mu_);
   std::deque<FenceRecord> fence_history_ PEEK_GUARDED_BY(fence_mu_);

@@ -384,7 +384,6 @@ TEST_F(LiveEngineTest, UnaffectedPairsStayCachedAcrossBatches) {
   auto csr = two_diamonds();
   dyn::DynamicGraph dg(csr);
   serve::ServeOptions so;
-  so.live_mutations = true;
   serve::QueryEngine eng(dg, so);
 
   auto r03 = eng.query(0, 3, 2);
@@ -423,7 +422,6 @@ TEST_F(LiveEngineTest, StaleAnswerCarriesSoundBound) {
   auto csr = two_diamonds();
   dyn::DynamicGraph dg(csr);
   serve::ServeOptions so;
-  so.live_mutations = true;
   // Stall the repair kernel so the stale-serving window is wide enough to
   // query into deterministically.
   fault::InjectorConfig cfg;
@@ -476,7 +474,6 @@ TEST_F(LiveEngineTest, RepairCrashFallsBackToFullRecompute) {
   auto csr = two_diamonds();
   dyn::DynamicGraph dg(csr);
   serve::ServeOptions so;
-  so.live_mutations = true;
   fault::InjectorConfig cfg;
   cfg.enabled = true;
   cfg.rate_permille = 1000;
@@ -614,6 +611,56 @@ TEST(LiveFleet, FenceAdvancesAndAnswersRespectIt) {
     EXPECT_EQ(q.result.staleness.epoch + q.result.staleness.epochs_behind, 2u);
     expect_paths_identical(q.result.paths, true_ksp(post2, s, t, 4));
   }
+}
+
+// With its home shard down and failover off, a pair is answered only from a
+// survivor's cache. Such degraded answers carry their content epoch and are
+// fenced like any other answer.
+TEST(LiveFleet, DegradedAnswersCarryTheirEpochAndRespectTheFence) {
+  auto csr = test::random_graph(60, 360, 7);
+  dyn::DynamicGraph dg(csr);
+  shard::FleetOptions fo;
+  fo.router.shards = 2;
+  fo.replicas = 1;
+  fo.failover = false;
+  shard::ShardFleet fleet(dg, fo);
+  const vid_t s = 0, t = 41;
+  const int home = fleet.router().route(s, t);
+  const int survivor = fleet.router().successor(home, 1);
+  ASSERT_NE(survivor, home);
+
+  // Epoch 1 (a reweight) reaches every replica; the survivor then caches
+  // the pair, and the home replica goes down.
+  vid_t u = 0;
+  while (csr.degree(u) == 0) ++u;
+  const vid_t v = csr.edge_target(csr.edge_begin(u));
+  fleet.apply_batch(dyn::UpdateBatch{}.reweight(
+      u, v, csr.edge_weight(csr.edge_begin(u)) + 3.0));
+  fleet.deliver_batches();
+  ASSERT_EQ(fleet.engine(survivor, 0).query(s, t, 4).status.code,
+            fault::Status::kOk);
+  fleet.set_replica_down(home, 0, true);
+
+  auto deg = fleet.query(s, t, 4);
+  ASSERT_EQ(deg.result.status.code, fault::Status::kOk)
+      << deg.result.status.message;
+  EXPECT_TRUE(deg.result.degraded);
+  EXPECT_EQ(deg.shard, survivor);
+  EXPECT_FALSE(deg.result.staleness.stale);
+  EXPECT_EQ(deg.result.staleness.epoch, 1u);
+  const auto truth = true_ksp(dg.to_csr(), s, t, 4);
+  ASSERT_LE(deg.result.paths.size(), truth.size());
+  for (size_t i = 0; i < deg.result.paths.size(); ++i) {
+    EXPECT_EQ(deg.result.paths[i].verts, truth[i].verts) << "rank " << i;
+    EXPECT_EQ(deg.result.paths[i].dist, truth[i].dist) << "rank " << i;
+  }
+
+  // Epoch 2 is structural and the survivor has not adopted it: its cached
+  // paths lag the fence by a gap no weight bound covers.
+  auto b2 = fleet.apply_batch(dyn::UpdateBatch{}.erase(u, v));
+  ASSERT_TRUE(b2.structural());
+  auto fenced = fleet.query(s, t, 4);
+  EXPECT_NE(fenced.result.status.code, fault::Status::kOk);
 }
 
 }  // namespace

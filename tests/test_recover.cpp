@@ -395,6 +395,33 @@ TEST_F(RecoverTest, WarmRestartServesBitIdenticalAnswers) {
   fs::remove_all(tie_dir);
 }
 
+// A dynamic-graph engine snapshots its graph before warm restart reads it,
+// so restored artifacts pass the fingerprint check and serve at once.
+TEST_F(RecoverTest, DynamicGraphEngineWarmRestarts) {
+  const auto dir = scratch_dir("warm_dyn");
+  const auto g = test::random_graph(120, 960, 801);
+  dyn::DynamicGraph dg(g);
+  const vid_t s = 0, t = 60;
+  core::PeekOptions po;
+  po.k = 4;
+  const auto truth = core::peek_ksp(g, s, t, po).ksp.paths;
+
+  serve::ServeOptions so;
+  so.snapshot_dir = dir.string();
+  {
+    serve::QueryEngine a(dg, so);
+    ASSERT_EQ(a.query(s, t, 4).status.code, fault::Status::kOk);
+    EXPECT_GT(a.persist(), 0);
+  }
+  serve::QueryEngine b(dg, so);
+  EXPECT_GT(b.restored_artifacts(), 0);
+  auto r = b.query(s, t, 4);
+  ASSERT_EQ(r.status.code, fault::Status::kOk);
+  EXPECT_TRUE(r.snapshot_hit);
+  expect_exact_paths(r.paths, truth);
+  fs::remove_all(dir);
+}
+
 TEST_F(RecoverTest, WarmRestartCanBeDisabled) {
   const auto dir = scratch_dir("cold");
   const auto g = test::random_graph(60, 300, 11);

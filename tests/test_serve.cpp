@@ -1,10 +1,11 @@
 // Serving-layer tests: ArtifactCache mechanics (LRU, byte budget, sharding,
 // generation invalidation) and the cache-correctness property — every serve
 // path (cold miss, snapshot hit, stream extension, tree reuse, coalesced
-// duplicate, dynamic re-snapshot, uncached fallback) must return answers
+// duplicate, dynamic-graph batch, uncached fallback) must return answers
 // bit-identical to a fresh core::peek_ksp on the same query.
 #include <atomic>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -344,27 +345,50 @@ TEST(QueryEngine, ZeroBudgetFallsBackToUncachedPeek) {
 TEST(QueryEngine, DynamicGraphEditInvalidatesCache) {
   auto g = test::random_graph(150, 1200, 17);
   dyn::DynamicGraph dg(g);
-  QueryEngine engine(dg);
+  QueryEngine engine(std::as_const(dg));  // read-only: edits come as batches
   auto before = engine.query(0, 90, 6);
   expect_identical(before.paths, fresh_peek(g, 0, 90, 6));
-  const auto gen_before = engine.generation();
 
   // Mutate: delete the first edge of the current best path (if any), else
-  // insert a shortcut — either way the structure version changes.
+  // insert a shortcut — either way a structural batch, applied outside the
+  // engine and handed to it with no post-mutation CSR.
+  dyn::UpdateBatch batch;
   if (!before.paths.empty() && before.paths[0].verts.size() >= 2) {
-    dg.delete_edge(before.paths[0].verts[0], before.paths[0].verts[1]);
+    batch.erase(before.paths[0].verts[0], before.paths[0].verts[1]);
   } else {
-    dg.insert_edge(0, 90, 0.001);
+    batch.insert(0, 90, 0.001);
   }
+  engine.note_batch(dyn::apply(dg, batch));
   auto after = engine.query(0, 90, 6);
-  EXPECT_GT(engine.generation(), gen_before);
+  EXPECT_EQ(engine.mutation_epoch(), 1u);
   EXPECT_FALSE(after.snapshot_hit);  // stale snapshot was not served
   expect_identical(after.paths, fresh_peek(dg.to_csr(), 0, 90, 6));
 
-  // And the new answer is itself cached under the new generation.
+  // And the new answer is itself cached at the new epoch.
+  engine.drain_repairs();
   auto warm = engine.query(0, 90, 6);
   EXPECT_TRUE(warm.snapshot_hit);
   expect_identical(warm.paths, after.paths);
+}
+
+TEST(QueryEngine, StaticEngineNoteBatchIsANoOp) {
+  auto g = test::random_graph(150, 1200, 17);
+  QueryEngine engine(g);
+  auto first = engine.query(0, 90, 6);
+  ASSERT_EQ(first.status.code, fault::Status::kOk);
+  EXPECT_EQ(first.staleness.epoch, 0u);
+
+  // A static CSR never changes, so a batch handed to its engine is ignored:
+  // the engine stays at epoch 0 and keeps its cache.
+  dyn::DynamicGraph dg(g);
+  engine.note_batch(dyn::apply(dg, dyn::UpdateBatch{}.insert(0, 90, 0.001)));
+  EXPECT_EQ(engine.mutation_epoch(), 0u);
+  auto again = engine.query(0, 90, 6);
+  ASSERT_EQ(again.status.code, fault::Status::kOk);
+  EXPECT_TRUE(again.snapshot_hit);
+  EXPECT_FALSE(again.staleness.stale);
+  EXPECT_EQ(again.staleness.epoch, 0u);
+  expect_identical(again.paths, fresh_peek(g, 0, 90, 6));
 }
 
 TEST(QueryEngine, ManualInvalidateForcesRecompute) {

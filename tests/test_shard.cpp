@@ -309,7 +309,6 @@ TEST(ShardFleet, SingleShardCrashDegradedNeverWrong) {
   fo.router.shards = 4;
   fo.replicas = 1;
   fo.failover = false;  // strict placement: down shard cannot be rerouted
-  fo.degraded_fallback = true;
   ShardFleet fleet(g, fo);
   const int k = 5;
   // A pair homed on the shard we are about to crash.
@@ -609,6 +608,40 @@ TEST(ShardFleet, CompoundHedgeDownReplicaTightDeadline) {
     }
   }
   wait_drained(fleet);
+}
+
+// A cancelled attempt says nothing about its replica: a caller cancelling
+// mid-compute, query after query, must not trip the breaker.
+TEST(ShardFleet, CancelledAttemptsDoNotTripTheBreaker) {
+  const auto g = test_graph();
+  FleetOptions fo;
+  fo.router.shards = 1;
+  fo.replicas = 1;
+  fault::InjectorConfig inj;
+  inj.enabled = true;
+  inj.rate_permille = 1000;
+  inj.stall = 100ms;  // every dispatched attempt outlives its caller's cancel
+  inj.site_filter = "shard.replica.stall";
+  fo.injector = inj;
+  {
+    ShardFleet fleet(g, fo);
+    for (const auto& [s, t] : pair_pool(g.num_vertices(), 12)) {
+      auto cancel = fault::CancelToken::cancellable();
+      std::thread canceller([&cancel] {
+        std::this_thread::sleep_for(20ms);
+        cancel.cancel();
+      });
+      serve::QueryOptions qo;
+      qo.cancel = &cancel;
+      auto r = fleet.query(s, t, 5, qo);
+      canceller.join();
+      EXPECT_EQ(r.result.status.code, fault::Status::kCancelled)
+          << r.result.status.message;
+    }
+    EXPECT_EQ(fleet.breaker_state(0, 0), BreakerState::kClosed);
+    wait_drained(fleet);
+  }
+  fault::Injector::global().disable();
 }
 
 TEST(ShardFleet, LatencyStatsCoverServedShards) {

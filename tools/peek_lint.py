@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""PeeK repo-specific lint. Nine checks, all rooted in invariants generic
+"""PeeK repo-specific lint. Eleven checks, all rooted in invariants generic
 tools cannot know:
 
   metrics      every metric name the library emits (PEEK_COUNT_* /
@@ -38,6 +38,16 @@ tools cannot know:
                breaker-transition-table-begin/end markers) and vice versa,
                so every circuit-breaker state machine edge stays observable
                and documented.
+  staleness_contract
+               every live-mutation metric and `dyn.*` fault site in src/
+               appears in the DESIGN.md §15 staleness-contract table
+               (between the staleness-contract-begin/end markers) and vice
+               versa, so the bounded-staleness contract stays auditable.
+  options      every `<Name>Options::<member>` written in README.md,
+               DESIGN.md, ARCHITECTURE.md, EXPERIMENTS.md or a `//` comment
+               under src/ names a member (field or nested type) declared in
+               `struct <Name>Options` under src/ — a deleted or renamed knob
+               must not live on in the docs.
   waivers      every analyzer waiver in src/ (`// no-cancel:`,
                `// status-ignored:`, `// ts-allow:` — the escape hatches
                tools/peek_analyze.py honors) cites a substantive,
@@ -525,6 +535,87 @@ def check_staleness_contract():
                 "nothing in src/ emits or probes it — stale table row?")
 
 
+# --------------------------------------------------------------- options
+
+OPTIONS_REF_RE = re.compile(
+    r'\b([A-Z][A-Za-z0-9_]*Options)::([A-Za-z_][A-Za-z0-9_]*)')
+OPTIONS_STRUCT_RE = re.compile(
+    r'\bstruct\s+([A-Z][A-Za-z0-9_]*Options)\s*(?::[^{;]*)?\{')
+OPTIONS_DOCS = ("README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md")
+
+
+def strip_comments(text):
+    text = re.sub(r'/\*.*?\*/', ' ', text, flags=re.S)
+    return re.sub(r'//[^\n]*', '', text)
+
+
+def struct_members(code, body_start):
+    """Member names declared at the top level of the struct body that opens
+    just before code[body_start]: fields and nested types."""
+    depth, i, flat = 1, body_start, []
+    while i < len(code) and depth > 0:
+        c = code[i]
+        if c == '{':
+            depth += 1
+            if depth == 2:
+                flat.append('{}')  # nested body or brace initializer
+        elif c == '}':
+            depth -= 1
+        elif depth == 1:
+            flat.append(c)
+        i += 1
+    names = set()
+    for stmt in ''.join(flat).split(';'):
+        m = re.match(r'\s*(?:enum(?:\s+class)?|struct|using)\s+([A-Za-z_]\w*)',
+                     stmt)
+        if m:
+            names.add(m.group(1))
+            continue
+        while re.search(r'<[^<>]*>', stmt):
+            stmt = re.sub(r'<[^<>]*>', '', stmt)  # template arguments
+        head = re.split(r'[={]', stmt, maxsplit=1)[0]
+        if '(' in head:
+            continue  # member function or constructor
+        ids = re.findall(r'[A-Za-z_]\w*', head)
+        if ids:
+            names.add(ids[-1])
+    return names
+
+
+def check_options():
+    declared = {}  # struct name -> member names
+    for path in source_files(SRC):
+        with open(path, encoding="utf-8") as f:
+            code = strip_comments(f.read())
+        for m in OPTIONS_STRUCT_RE.finditer(code):
+            declared.setdefault(m.group(1), set()).update(
+                struct_members(code, m.end()))
+
+    def check_line(path, line_no, text):
+        for m in OPTIONS_REF_RE.finditer(text):
+            name, member = m.group(1), m.group(2)
+            if name not in declared:
+                finding(path, line_no, "options",
+                        f"`{name}::{member}` names no `struct {name}` "
+                        "declared under src/")
+            elif member not in declared[name]:
+                finding(path, line_no, "options",
+                        f"`{name}::{member}`: `struct {name}` declares no "
+                        f"`{member}` — deleted or renamed option?")
+
+    for doc in OPTIONS_DOCS:
+        path = os.path.join(REPO, doc)
+        with open(path, encoding="utf-8") as f:
+            for line_no, line in enumerate(f, 1):
+                check_line(path, line_no, line)
+    for path in source_files(SRC):
+        with open(path, encoding="utf-8") as f:
+            for line_no, line in enumerate(f, 1):
+                pos = line.find("//")
+                if pos >= 0:
+                    check_line(path, line_no, line[pos:])
+
+
 # --------------------------------------------------------------- waivers
 
 # The escape hatches tools/peek_analyze.py honors. Anything after the colon
@@ -567,6 +658,7 @@ CHECKS = {
     "bench_json": check_bench_json,
     "breaker_transitions": check_breaker_transitions,
     "staleness_contract": check_staleness_contract,
+    "options": check_options,
     "waivers": check_waivers,
 }
 
