@@ -18,39 +18,38 @@ namespace peek::core {
 
 namespace {
 
-/// Keep-side relative epsilon: vertices on the K-th path itself can sum
-/// spSrc[v] + spTgt[v] an ulp above b, because that sum associates
-/// differently than the walk that produced b — without slack the K-th path
-/// loses a vertex and the result silently degrades to the (K+1)-th.
-/// Under-pruning is sound (Theorem 4.3 bounds what may be deleted, not what
-/// must be); the tight-edge rule uses the same slack.
-weight_t keep_slack(weight_t b) { return b * 1e-12 + 1e-12; }
-
 /// spSrc[v] + spTgt[v] (Lemma 4.1), kInfDist when either half is missing.
 /// `fwd` is the forward tree: computed into r.from_source, or handed in.
-weight_t sum_at(const sssp::SsspResult& fwd, const PruneResult& r, vid_t v) {
+/// The keep rules compare it with b + keep_slack(b) (graph/types.hpp):
+/// vertices on the K-th path itself can sum an ulp above b, and without
+/// slack the K-th path would lose a vertex and the result silently degrade
+/// to the (K+1)-th. Under-pruning is sound (Theorem 4.3 bounds what may be
+/// deleted, not what must be); the tight-edge rule uses the same slack.
+weight_t sum_at(const sssp::SsspResult& fwd, const sssp::SsspResult& tgt,
+                vid_t v) {
   const weight_t a = fwd.dist[v];
-  const weight_t c = r.to_target.dist[v];
+  const weight_t c = tgt.dist[v];
   return a == kInfDist || c == kInfDist ? kInfDist : a + c;
 }
 
 /// Step 3, Algorithm 2 lines 5-9: fed candidates in increasing (sum, id)
 /// order, it keeps the K-th valid, distinct combined path's sum as b.
+/// `tgt` is the spTgt tree the candidates' paths are read from.
 class BoundScan {
  public:
-  BoundScan(const sssp::SsspResult& fwd, PruneResult& r, vid_t s, vid_t t,
-            int k)
-      : fwd_(fwd), r_(r), s_(s), t_(t), k_(k) {}
+  BoundScan(const sssp::SsspResult& fwd, const sssp::SsspResult& tgt,
+            PruneResult& r, vid_t s, vid_t t, int k)
+      : fwd_(fwd), tgt_(tgt), r_(r), s_(s), t_(t), k_(k) {}
 
   /// Inspects candidate `v` of sum `sum`. True once `v` completed the K-th
   /// valid path; `bound()` is then its sum.
   bool inspect(vid_t v, weight_t sum) {
     r_.inspected_paths++;
-    if (!sssp::combined_path_is_simple(fwd_, r_.to_target, s_, v, t_)) {
+    if (!sssp::combined_path_is_simple(fwd_, tgt_, s_, v, t_)) {
       non_simple_++;
       return false;
     }
-    sssp::Path p = sssp::combined_path(fwd_, r_.to_target, s_, v, t_);
+    sssp::Path p = sssp::combined_path(fwd_, tgt_, s_, v, t_);
     if (p.empty() || !distinct_.insert(std::move(p)).second) {
       duplicates_++;
       return false;
@@ -71,6 +70,7 @@ class BoundScan {
 
  private:
   const sssp::SsspResult& fwd_;
+  const sssp::SsspResult& tgt_;
   PruneResult& r_;
   const vid_t s_, t_;
   const int k_;
@@ -87,7 +87,7 @@ std::vector<vid_t> full_scan(const sssp::SsspResult& fwd, PruneResult& r,
                              BoundScan& scan, const PruneOptions& opts) {
   const vid_t n = static_cast<vid_t>(r.vertex_keep.size());
   std::vector<weight_t> dist(static_cast<size_t>(n));
-  auto sum_body = [&](vid_t v) { dist[v] = sum_at(fwd, r, v); };
+  auto sum_body = [&](vid_t v) { dist[v] = sum_at(fwd, r.to_target, v); };
   if (opts.parallel) par::parallel_for(vid_t{0}, n, sum_body);
   else for (vid_t v = 0; v < n; ++v) sum_body(v);
   std::vector<vid_t> order = par::sort_permutation(dist);
@@ -104,8 +104,9 @@ std::vector<vid_t> full_scan(const sssp::SsspResult& fwd, PruneResult& r,
 }
 
 /// Steps 1-3 for spTgt without a full reverse SSSP: A* from t over the
-/// reverse graph, keyed by spTgt + spSrc, with the scan fed as it goes.
-/// Returns the settled vertices, the only ones whose sum is finite here.
+/// reverse graph in `ws`, keyed by spTgt + spSrc, with the scan fed as it
+/// goes. Returns the settled vertices, the only ones whose sum is finite
+/// here; `ws.tree` is then spTgt, exact on them and kInfDist elsewhere.
 ///
 /// Soundness and exactness (DESIGN.md §5). spSrc is a consistent potential
 /// on reverse edges: spSrc[u] <= spSrc[v] + w(v,u) for every edge v->u, so
@@ -131,37 +132,24 @@ std::vector<vid_t> full_scan(const sssp::SsspResult& fwd, PruneResult& r,
 ///
 /// The frontier test uses twice the keep slack: one slack is the keep
 /// rule's; the other absorbs rounding in the keys, which can let a vertex
-/// discovered later undercut the frontier by a few ulps.
+/// discovered later undercut the frontier by a few ulps (the search never
+/// re-opens a settled vertex for it).
 std::vector<vid_t> bounded_reverse_search(const CsrGraph& g, vid_t t,
                                           const sssp::SsspResult& fwd,
+                                          sssp::DijkstraWorkspace& ws,
                                           PruneResult& r, BoundScan& scan,
                                           const fault::CancelToken* cancel) {
-  const CsrGraph& rg = g.reverse();
-  const eid_t* row = rg.row_offsets().data();
-  const vid_t* col = rg.col().data();
-  const weight_t* wgt = rg.weights().data();
+  const sssp::GraphView rev(g.reverse());
   const weight_t* src = fwd.dist.data();
-  weight_t* tgt = r.to_target.dist.data();
-  vid_t* parent = r.to_target.parent.data();
-  // Settled flags live in the keep mask until the mark rewrites it.
-  std::uint8_t* settled_flag = r.vertex_keep.data();
-
+  const auto potential = [src](vid_t v) { return src[v]; };
   using Entry = std::pair<weight_t, vid_t>;  // (sum, vertex)
-  using MinHeap =
-      std::priority_queue<Entry, std::vector<Entry>, std::greater<>>;
-  MinHeap frontier;  // reached, keyed by tentative spTgt + spSrc
-  MinHeap pending;   // settled, not yet inspected
-  std::vector<vid_t> settled, reached;
-  std::int64_t relaxed = 0;
-  fault::CancelPoll poll(cancel);
-  tgt[t] = 0;
-  reached.push_back(t);
-  frontier.push({src[t], t});
+  // Settled, not yet inspected: the scan's queue, not a search heap.
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pending;
+  std::vector<vid_t> settled;
+  fault::CancelPoll cancel_poll(cancel);
+  ws.start(rev, t, {}, potential);
   for (;;) {
-    while (!frontier.empty() && settled_flag[frontier.top().second])
-      frontier.pop();  // stale: settled through a smaller key
-    const weight_t next =
-        frontier.empty() ? kInfDist : frontier.top().first;
+    const weight_t next = ws.next_key();
     bool done = false;
     while (!done && !pending.empty()) {
       const auto [sum, v] = pending.top();
@@ -169,39 +157,18 @@ std::vector<vid_t> bounded_reverse_search(const CsrGraph& g, vid_t t,
       pending.pop();
       done = scan.inspect(v, sum);
     }
-    if (done || frontier.empty()) break;
-    const vid_t u = frontier.top().second;
-    frontier.pop();
-    if (poll.should_stop()) {
-      r.status = poll.why();
+    if (done || next == kInfDist) break;
+    const vid_t u = ws.settle_next(rev, {}, cancel_poll, potential);
+    if (u == kNoVertex) {
+      r.status = ws.tree.status;
       break;
     }
-    settled_flag[u] = 1;
     settled.push_back(u);
-    pending.push({sum_at(fwd, r, u), u});
-    for (eid_t e = row[u]; e < row[u + 1]; ++e) {
-      const vid_t v = col[e];
-      if (settled_flag[v] || src[v] == kInfDist) continue;
-      relaxed++;
-      const weight_t nd = tgt[u] + wgt[e];
-      if (nd < tgt[v]) {
-        if (tgt[v] == kInfDist) reached.push_back(v);
-        tgt[v] = nd;
-        parent[v] = u;
-        frontier.push({sum_at(fwd, r, v), v});
-      }
-    }
+    pending.push({sum_at(fwd, ws.tree, u), u});
   }
-  // Reached but unsettled vertices hold tentative distances: clear them.
-  for (vid_t v : reached) {
-    if (!settled_flag[v]) {
-      tgt[v] = kInfDist;
-      parent[v] = kNoVertex;
-    }
-  }
-  PEEK_COUNT_ADD("prune.search.settled",
-                 static_cast<std::int64_t>(settled.size()));
-  PEEK_COUNT_ADD("prune.search.relaxed_edges", relaxed);
+  ws.forget_frontier();
+  PEEK_COUNT_ADD("prune.search.settled", ws.counts.settled);
+  PEEK_COUNT_ADD("prune.search.relaxed_edges", ws.counts.relaxed);
   return settled;
 }
 
@@ -214,7 +181,7 @@ vid_t mark_kept(const sssp::SsspResult& fwd, PruneResult& r,
   std::atomic<vid_t> kept{0};
   auto keep_body = [&](size_t i) {
     const vid_t v = candidates[i];
-    const weight_t sum = sum_at(fwd, r, v);
+    const weight_t sum = sum_at(fwd, r.to_target, v);
     const bool keep = sum != kInfDist && sum <= limit;
     r.vertex_keep[v] = static_cast<std::uint8_t>(keep);
     if (keep) kept.fetch_add(1, std::memory_order_relaxed);
@@ -257,9 +224,6 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     if (opts.reuse_to_target) {
       r.to_target = *opts.reuse_to_target;
       PEEK_COUNT_INC("prune.reused_trees");
-    } else {
-      r.to_target.dist.assign(static_cast<size_t>(n), kInfDist);
-      r.to_target.parent.assign(static_cast<size_t>(n), kNoVertex);
     }
   }
 
@@ -269,6 +233,10 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   if (fwd.dist[t] == kInfDist) {
     // t unreachable: no path at all; prune everything.
     PEEK_COUNT_INC("prune.unreachable_queries");
+    if (!opts.reuse_to_target) {
+      r.to_target.dist.assign(static_cast<size_t>(n), kInfDist);
+      r.to_target.parent.assign(static_cast<size_t>(n), kNoVertex);
+    }
     r.upper_bound = kInfDist;
     r.edge_keep = nullptr;
     return r;
@@ -279,10 +247,16 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   {
     PEEK_TIMER_SCOPE("prune.scan");
     PEEK_FAULT_STALL("prune.scan.stall");
-    BoundScan scan(fwd, r, s, t, opts.k);
-    candidates = opts.reuse_to_target
-                     ? full_scan(fwd, r, scan, opts)
-                     : bounded_reverse_search(g, t, fwd, r, scan, opts.cancel);
+    sssp::DijkstraWorkspace search;  // the bounded search's spTgt
+    BoundScan scan(fwd, opts.reuse_to_target ? r.to_target : search.tree, r,
+                   s, t, opts.k);
+    if (opts.reuse_to_target) {
+      candidates = full_scan(fwd, r, scan, opts);
+    } else {
+      candidates =
+          bounded_reverse_search(g, t, fwd, search, r, scan, opts.cancel);
+      r.to_target = std::move(search.tree);
+    }
     if (r.status != fault::Status::kOk) return r;
     scan.publish();
     r.upper_bound = scan.bound();

@@ -2,11 +2,11 @@
 //
 // After an UpdateBatch lands, each cached tree whose cone_threshold is
 // finite must be brought up to date. repair_trees() does that surgically:
-// for each job it seeds sssp::ResumableDijkstra's cone-repair constructor
-// with the pre-mutation tree and the batch's threshold, then settles only
-// the poisoned region against the post-mutation graph — the output is the
-// exact tree a from-scratch Dijkstra would produce, at a cost proportional
-// to the cone, not the graph.
+// for each job, seed_cone_repair() fills a search workspace from the
+// pre-mutation tree and the batch's threshold, and the one search loop
+// (sssp/dijkstra.hpp) then settles only the poisoned region against the
+// post-mutation graph — the output is the exact tree a from-scratch
+// Dijkstra would produce, at a cost proportional to the cone, not the graph.
 //
 // This is the serving layer's repair loop, so it is fully fault-aware:
 // `dyn.repair.stall` injects a kernel stall per job (deadline coverage) and
@@ -22,7 +22,7 @@
 
 #include "fault/cancel.hpp"
 #include "graph/csr.hpp"
-#include "sssp/resumable_dijkstra.hpp"
+#include "sssp/dijkstra.hpp"
 
 namespace peek::dyn {
 
@@ -44,6 +44,18 @@ struct RepairResult {
   /// Parallel to the job list; null for jobs not reached before a stop.
   std::vector<std::shared_ptr<const sssp::SsspResult>> trees;
 };
+
+/// Cone-repair seeding: `view` is the POST-mutation graph and `rview` its
+/// transpose; `base` is a complete pre-mutation tree from `source`. Every
+/// live vertex outside the cone of `threshold` (dyn::in_cone) is provably
+/// unaffected by the mutation and is settled with its base distance and
+/// parent; the frontier re-opens by offering each poisoned vertex its
+/// in-edges from survivors — O(cone-incident edges), not O(survivor edges).
+/// Running the search to completion then yields the exact post-mutation
+/// tree.
+void seed_cone_repair(const sssp::GraphView& view, const sssp::GraphView& rview,
+                      vid_t source, const sssp::SsspResult& base,
+                      weight_t threshold, sssp::DijkstraWorkspace& ws);
 
 /// Repairs every job's tree in order against `post` (the post-mutation CSR).
 /// Emits dyn.repair.trees per repaired tree and dyn.repair.crashes when the

@@ -4,16 +4,6 @@
 #include <cmath>
 
 namespace peek::dyn {
-namespace {
-
-/// Keep-side slack (core/upper_bound.cpp idiom): comparisons against a bound
-/// b admit a relative + absolute epsilon so float rounding never drops a
-/// vertex/path the exact arithmetic would keep.
-weight_t keep_slack(weight_t b) {
-  return b == kInfDist ? 0 : b * 1e-12 + 1e-12;
-}
-
-}  // namespace
 
 weight_t AppliedOp::min_weight() const {
   switch (op.kind) {
@@ -114,10 +104,8 @@ weight_t cone_threshold(const AppliedBatch& b, const sssp::SsspResult& tree,
 std::vector<std::uint8_t> cone_mask(const sssp::SsspResult& tree,
                                     weight_t threshold) {
   std::vector<std::uint8_t> mask(tree.dist.size(), 0);
-  if (threshold == kInfDist) return mask;
-  const weight_t t = threshold - keep_slack(threshold);
   for (size_t v = 0; v < tree.dist.size(); ++v) {
-    if (tree.dist[v] >= t) mask[v] = 1;
+    mask[v] = static_cast<std::uint8_t>(in_cone(tree.dist[v], threshold));
   }
   return mask;
 }

@@ -122,10 +122,18 @@ AppliedBatch apply(DynamicGraph& g, const UpdateBatch& batch);
 weight_t cone_threshold(const AppliedBatch& b, const sssp::SsspResult& tree,
                         bool reverse);
 
-/// The cone itself: mask[x] != 0 iff tree.dist[x] >= threshold (with a
-/// relative epsilon so float rounding never shrinks the cone). Unreachable
-/// vertices (kInfDist) are always inside. Test/diagnostic helper — repair
-/// recomputes the mask inline.
+/// The one cone test: true iff a vertex at pre-mutation tree distance `d`
+/// lies inside the cone of `threshold`, d >= threshold widened by
+/// keep_slack so float rounding never shrinks the cone. Unreachable
+/// vertices (kInfDist) are always inside: a batch can connect them. Repair
+/// seeding (dyn/repair.hpp) settles exactly the live vertices outside.
+/// keep_slack(∞) is 0, so an infinite threshold's cone is exactly the
+/// unreachable vertices.
+inline bool in_cone(weight_t d, weight_t threshold) {
+  return d >= threshold - keep_slack(threshold);
+}
+
+/// The cone itself: mask[x] = in_cone(tree.dist[x], threshold).
 std::vector<std::uint8_t> cone_mask(const sssp::SsspResult& tree,
                                     weight_t threshold);
 

@@ -24,4 +24,13 @@ inline constexpr vid_t kNoVertex = -1;
 /// Sentinel edge index.
 inline constexpr eid_t kNoEdge = -1;
 
+/// The keep-side slack of every comparison against a bound b (the K upper
+/// bound, a cone threshold, a staleness budget): a relative plus absolute
+/// epsilon, so float rounding only ever keeps more — a sum that associates
+/// differently than the walk that produced b can land an ulp above it. Zero
+/// for an infinite b.
+inline weight_t keep_slack(weight_t b) {
+  return b == kInfDist ? 0 : b * 1e-12 + 1e-12;
+}
+
 }  // namespace peek

@@ -7,7 +7,6 @@
 
 #include "ksp/yen_engine.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/resumable_dijkstra.hpp"
 
 namespace peek::ksp {
 
@@ -91,9 +90,10 @@ struct SidetrackRun {
       }
       stats.sssp_calls++;
       if (base) {
-        sssp::ResumableDijkstra rd(g.rev, t, *base, bans);
-        rd.run_to_completion();
-        tree = std::make_shared<SsspResult>(rd.snapshot());
+        sssp::DijkstraWorkspace ws;
+        sssp::seed_ban_repair(g.rev, t, *base, bans, ws);
+        ws.run(g.rev, {.bans = bans});
+        tree = std::make_shared<SsspResult>(std::move(ws.tree));
       } else {
         tree = std::make_shared<SsspResult>(sssp::dijkstra(g.rev, t, {.bans = bans}));
       }

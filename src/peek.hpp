@@ -29,7 +29,6 @@
 #include "sssp/dijkstra.hpp"            // IWYU pragma: export
 #include "sssp/hop_limited.hpp"         // IWYU pragma: export
 #include "sssp/path.hpp"                // IWYU pragma: export
-#include "sssp/resumable_dijkstra.hpp"  // IWYU pragma: export
 
 // Compaction.
 #include "compact/adaptive.hpp"      // IWYU pragma: export

@@ -1,13 +1,17 @@
 #include "sssp/alt.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <random>
+
+#include "sssp/dijkstra.hpp"
 
 namespace peek::sssp {
 
 AltOracle::AltOracle(const graph::CsrGraph& g, const AltOptions& opts) : g_(&g) {
   const vid_t n = g.num_vertices();
+  // No vertices, no landmarks: the heuristic is then 0 (and the
+  // distribution below would have an empty range).
+  if (n == 0) return;
   const int L = std::max(1, std::min<int>(opts.landmarks, n));
   std::mt19937_64 rng(opts.seed);
   std::uniform_int_distribution<vid_t> pick(0, n - 1);
@@ -54,39 +58,18 @@ weight_t AltOracle::heuristic(vid_t v, vid_t t) const {
 
 AltOracle::QueryResult AltOracle::query(vid_t s, vid_t t) const {
   QueryResult result;
-  const graph::CsrGraph& g = *g_;
-  const vid_t n = g.num_vertices();
+  const vid_t n = g_->num_vertices();
   if (s < 0 || s >= n || t < 0 || t >= n) return result;
-
-  struct Entry {
-    weight_t f;  // g + h
-    vid_t v;
-    bool operator>(const Entry& o) const { return f > o.f; }
-  };
-  std::vector<weight_t> dist(static_cast<size_t>(n), kInfDist);
-  std::vector<vid_t> parent(static_cast<size_t>(n), kNoVertex);
-  std::vector<std::uint8_t> settled(static_cast<size_t>(n), 0);
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[s] = 0;
-  heap.push({heuristic(s, t), s});
-  while (!heap.empty()) {
-    const auto [f, u] = heap.top();
-    heap.pop();
-    if (settled[u]) continue;
-    settled[u] = 1;
-    result.settled++;
-    if (u == t) break;
-    for (eid_t e = g.edge_begin(u); e < g.edge_end(u); ++e) {
-      const vid_t w = g.edge_target(e);
-      const weight_t nd = dist[u] + g.edge_weight(e);
-      if (nd < dist[w]) {
-        dist[w] = nd;
-        parent[w] = u;
-        heap.push({nd + heuristic(w, t), w});
-      }
-    }
-  }
-  result.path = path_from_parents({std::move(dist), std::move(parent)}, s, t);
+  // A* over the one search loop, guided by the (consistent) landmark bound.
+  const GraphView view(*g_);
+  const auto to_t = [this, t](vid_t v) { return heuristic(v, t); };
+  DijkstraWorkspace ws;
+  DijkstraOptions opts;
+  opts.target = t;
+  ws.start(view, s, opts.bans, to_t);
+  ws.run(view, opts, to_t);
+  result.settled = static_cast<vid_t>(ws.counts.settled);
+  result.path = path_from_parents(ws.tree, s, t);
   return result;
 }
 

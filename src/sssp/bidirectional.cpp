@@ -1,59 +1,18 @@
 #include "sssp/bidirectional.hpp"
 
-#include <queue>
+#include "sssp/dijkstra.hpp"
 
 namespace peek::sssp {
 
 namespace {
 
-struct HeapEntry {
-  weight_t d;
-  vid_t v;
-  bool operator>(const HeapEntry& o) const { return d > o.d; }
-};
-
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
-
-/// One side of the search.
+/// One side of the search: a plain run of the one search loop, stepped one
+/// settled vertex at a time.
 struct Side {
   GraphView view;
-  std::vector<weight_t> dist;
-  std::vector<vid_t> parent;
-  std::vector<std::uint8_t> settled;
-  MinHeap heap;
+  DijkstraWorkspace ws;
 
-  explicit Side(GraphView v, vid_t source)
-      : view(v), dist(static_cast<size_t>(v.num_vertices()), kInfDist),
-        parent(static_cast<size_t>(v.num_vertices()), kNoVertex),
-        settled(static_cast<size_t>(v.num_vertices()), 0) {
-    dist[source] = 0;
-    heap.push({0, source});
-  }
-
-  weight_t top_key() const { return heap.empty() ? kInfDist : heap.top().d; }
-
-  /// Settles one vertex; returns it (or kNoVertex when exhausted).
-  vid_t step(vid_t* settled_count) {
-    while (!heap.empty()) {
-      const auto [d, u] = heap.top();
-      heap.pop();
-      if (settled[u] || d > dist[u]) continue;
-      settled[u] = 1;
-      (*settled_count)++;
-      for (eid_t e = view.edge_begin(u); e < view.edge_end(u); ++e) {
-        const vid_t w = view.edge_target(e);
-        const weight_t nd = d + view.edge_weight(e);
-        if (nd < dist[w]) {
-          dist[w] = nd;
-          parent[w] = u;
-          heap.push({nd, w});
-        }
-      }
-      return u;
-    }
-    return kNoVertex;
-  }
+  Side(GraphView v, vid_t source) : view(v) { ws.start(view, source, {}); }
 };
 
 }  // namespace
@@ -70,12 +29,14 @@ BidirResult bidirectional_dijkstra(const graph::CsrGraph& g, vid_t s, vid_t t) {
   }
   Side fwd(GraphView(g), s);
   Side bwd(GraphView(g.reverse()), t);
+  const SsspResult& from_s = fwd.ws.tree;
+  const SsspResult& to_t = bwd.ws.tree;
 
   weight_t best = kInfDist;
   vid_t meet = kNoVertex;
   auto consider = [&](vid_t u) {
-    if (fwd.dist[u] == kInfDist || bwd.dist[u] == kInfDist) return;
-    const weight_t total = fwd.dist[u] + bwd.dist[u];
+    if (from_s.dist[u] == kInfDist || to_t.dist[u] == kInfDist) return;
+    const weight_t total = from_s.dist[u] + to_t.dist[u];
     if (total < best) {
       best = total;
       meet = u;
@@ -84,9 +45,11 @@ BidirResult bidirectional_dijkstra(const graph::CsrGraph& g, vid_t s, vid_t t) {
 
   // Alternate settles; stop when the sum of both frontiers exceeds the best
   // meeting distance (the classic correct termination rule).
-  while (fwd.top_key() + bwd.top_key() < best) {
-    Side& side = fwd.top_key() <= bwd.top_key() ? fwd : bwd;
-    const vid_t u = side.step(&result.settled);
+  fault::CancelPoll never(nullptr);
+  // no-cancel: this point-to-point utility takes no token (not on a query path)
+  while (fwd.ws.next_key() + bwd.ws.next_key() < best) {
+    Side& side = fwd.ws.next_key() <= bwd.ws.next_key() ? fwd : bwd;
+    const vid_t u = side.ws.settle_next(side.view, {}, never);
     if (u == kNoVertex) break;
     consider(u);
     // Also consider freshly relaxed neighbours reachable from both sides.
@@ -94,15 +57,18 @@ BidirResult bidirectional_dijkstra(const graph::CsrGraph& g, vid_t s, vid_t t) {
       consider(side.view.edge_target(e));
   }
 
+  result.settled =
+      static_cast<vid_t>(fwd.ws.counts.settled + bwd.ws.counts.settled);
   if (meet == kNoVertex) return result;
   result.dist = best;
   result.meeting_vertex = meet;
   // Stitch the two half-paths: s -> meet from fwd parents, meet -> t by
   // walking bwd parents forward.
   std::vector<vid_t> first_half;
-  for (vid_t u = meet; u != kNoVertex; u = fwd.parent[u]) first_half.push_back(u);
+  for (vid_t u = meet; u != kNoVertex; u = from_s.parent[u])
+    first_half.push_back(u);
   result.path.verts.assign(first_half.rbegin(), first_half.rend());
-  for (vid_t u = bwd.parent[meet]; u != kNoVertex; u = bwd.parent[u])
+  for (vid_t u = to_t.parent[meet]; u != kNoVertex; u = to_t.parent[u])
     result.path.verts.push_back(u);
   result.path.dist = best;
   if (result.path.verts.front() != s || result.path.verts.back() != t) {

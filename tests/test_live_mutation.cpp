@@ -162,6 +162,29 @@ TEST(ConeMask, UnreachableVerticesAlwaysInside) {
   EXPECT_EQ(mask[0], 0);
 }
 
+TEST(ConeMask, IsTheRegionRepairReopens) {
+  // Repair seeding keeps exactly the vertices outside the mask settled, so
+  // the cone checked above is the one repair re-runs.
+  for (std::uint64_t seed : {7u, 8u, 9u}) {
+    const vid_t n = 80;
+    auto csr = test::random_graph(n, 320, seed);
+    dyn::DynamicGraph g(csr);
+    auto fwd = sssp::dijkstra(sssp::GraphView(csr), 0);
+    auto b = dyn::apply(g, dyn::UpdateBatch{}.reweight(
+                               0, csr.edge_target(csr.edge_begin(0)), 0.5));
+    const weight_t th = dyn::cone_threshold(b, fwd, /*reverse=*/false);
+    auto post = g.to_csr();
+    post.warm_reverse();
+    const sssp::GraphView view(post), rview(post.reverse());
+    sssp::DijkstraWorkspace ws;
+    dyn::seed_cone_repair(view, rview, 0, fwd, th, ws);
+    const auto mask = dyn::cone_mask(fwd, th);
+    for (vid_t v = 0; v < n; ++v) {
+      EXPECT_EQ(ws.settled(v), mask[v] == 0) << "seed " << seed << " v " << v;
+    }
+  }
+}
+
 // -- Randomized mutation sequences vs. rebuilt-from-scratch truth ------------
 
 TEST(RandomizedMutations, DynamicDijkstraMatchesRebuiltCsr) {

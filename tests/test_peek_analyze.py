@@ -80,6 +80,16 @@ class FixtureFindings(unittest.TestCase):
         got = self.lines("cancel", "bad_loops.cpp")
         self.assertEqual(len(got), 2, f"unexpected cancel findings: {got}")
 
+    def test_search_core_loops_caught(self):
+        got = self.lines("cancel", "bad_core_loops.cpp")
+        needles = (
+            "for (peek::vid_t s = 0; s < view.num_vertices(); ++s) {",
+            "while (ws.next_key() < budget) {")
+        for needle in needles:
+            line = self.fixture_line("sssp/bad_core_loops.cpp", needle)
+            self.assertIn(line, got)
+        self.assertEqual(len(got), 2, f"unexpected cancel findings: {got}")
+
     # ---- status ----
 
     def test_bare_discard_caught(self):

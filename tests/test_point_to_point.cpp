@@ -84,6 +84,15 @@ TEST(Alt, SettlesFewerThanFullDijkstra) {
   EXPECT_LT(r.settled, 900);
 }
 
+TEST(Alt, EmptyGraphHasNoLandmarks) {
+  // No vertices: no landmark can be drawn (an empty range), so none is and
+  // the heuristic is 0.
+  auto g = graph::from_edges(0, {});
+  AltOracle alt(g, {.landmarks = 4, .seed = 1});
+  EXPECT_TRUE(alt.landmarks().empty());
+  EXPECT_TRUE(alt.query(0, 0).path.empty());
+}
+
 TEST(Alt, LandmarkCountClamped) {
   auto g = graph::from_edges(3, {{0, 1, 1.0}, {1, 2, 1.0}});
   AltOracle alt(g, {.landmarks = 50, .seed = 1});

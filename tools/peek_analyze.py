@@ -67,7 +67,8 @@ HEAVY_CALLEES = (
     "delta_stepping",          # covers reverse_delta_stepping
     "bellman_ford",
     "bidirectional_dijkstra",
-    "run_to_completion",
+    "run",                     # the search core: DijkstraWorkspace::run
+    "settle_next",             # ... and its one-vertex step
     "compute_sssp",
     "peek_ksp",
     "k_upper_bound_prune",
