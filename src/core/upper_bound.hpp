@@ -36,10 +36,11 @@ struct PruneOptions {
   /// prune edge (u,v) when spSrc[u] + w + spTgt[v] > b, which is sound by
   /// the same Lemma 4.1 argument and strictly stronger.
   bool tight_edge_prune = false;
-  /// A precomputed forward SSSP tree to reuse (the serving layer's
-  /// cross-query artifact cache, serve/artifact_cache.hpp): it depends only
-  /// on s, so a query that shares its source with an earlier one skips that
-  /// SSSP. When non-null, the prune reads the tree in place instead of
+  /// A precomputed forward SSSP tree to reuse: the serving layer's
+  /// cross-query artifact cache (serve/artifact_cache.hpp) hands in a tree
+  /// it computed for an earlier query from the same s, and DistPeek
+  /// (dist/dist_peek.hpp) the tree its distributed SSSP gathered on every
+  /// rank. When non-null, the prune reads the tree in place instead of
   /// recomputing it, and PruneResult::from_source stays empty. The tree must
   /// have been computed on this exact graph from this s.
   const sssp::SsspResult* reuse_from_source = nullptr;

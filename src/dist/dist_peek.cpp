@@ -1,7 +1,6 @@
 #include "dist/dist_peek.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "fault/injector.hpp"
 #include "graph/builder.hpp"
@@ -46,29 +45,6 @@ std::vector<Candidate> decode_candidates(const std::vector<vid_t>& ids,
     out.push_back(std::move(c));
   }
   return out;
-}
-
-/// Identical on every rank: the serial Algorithm 2 steps 2-3 over the
-/// gathered global distance/parent arrays.
-weight_t find_upper_bound(const SsspResult& fwd, const SsspResult& rev,
-                          vid_t s, vid_t t, int k) {
-  const vid_t n = static_cast<vid_t>(fwd.dist.size());
-  std::vector<std::pair<weight_t, vid_t>> order;
-  order.reserve(static_cast<size_t>(n));
-  for (vid_t v = 0; v < n; ++v) {
-    if (fwd.dist[v] == kInfDist || rev.dist[v] == kInfDist) continue;
-    order.push_back({fwd.dist[v] + rev.dist[v], v});
-  }
-  std::sort(order.begin(), order.end());
-  std::unordered_set<sssp::Path, sssp::PathHash> distinct;
-  int valid = 0;
-  for (auto [d, v] : order) {
-    if (!sssp::combined_path_is_simple(fwd, rev, s, v, t)) continue;
-    sssp::Path p = sssp::combined_path(fwd, rev, s, v, t);
-    if (p.empty() || !distinct.insert(std::move(p)).second) continue;
-    if (++valid == k) return d;
-  }
-  return kInfDist;
 }
 
 /// Loads + validates this rank's checkpoint. False on any of: file missing
@@ -155,57 +131,58 @@ DistPeekResult dist_peek_ksp(Comm& comm, const graph::CsrGraph& g, vid_t s,
   DistPeekResult result;
   const vid_t n = g.num_vertices();
 
-  // Stage 1: two distributed SSSPs over the 1-D slices.
-  const LocalGraph fwd_slice = make_local_graph(g, comm.rank(), comm.size());
-  const LocalGraph rev_slice =
-      make_local_reverse_graph(g, comm.rank(), comm.size());
+  // Stage 1: the forward distributed SSSP over the 1-D slices, gathered
+  // into the full tree on every rank.
+  const LocalGraph slice = make_local_graph(g, comm.rank(), comm.size());
   DistSsspOptions so;
   so.delta = opts.delta;
   so.retry = opts.retry;
-  DistSsspResult fwd_local = dist_delta_stepping(comm, fwd_slice, s, so);
-  DistSsspResult rev_local = dist_delta_stepping(comm, rev_slice, t, so);
-  result.edges_relaxed = comm.allreduce_sum(fwd_local.edges_relaxed) +
-                         comm.allreduce_sum(rev_local.edges_relaxed);
+  const DistSsspResult local = dist_delta_stepping(comm, slice, s, so);
+  result.edges_relaxed = comm.allreduce_sum(local.edges_relaxed);
+  SsspResult fwd;
+  gather_global(comm, slice, local, fwd.dist, fwd.parent);
 
-  SsspResult fwd, rev;
-  gather_global(comm, fwd_slice, fwd_local, fwd.dist, fwd.parent);
-  gather_global(comm, rev_slice, rev_local, rev.dist, rev.parent);
-  if (rev.dist[s] == kInfDist) return result;  // unreachable
-
-  // Stage 2: upper bound + keep mask — deterministic on the gathered arrays,
-  // so every rank computes the identical answer with no extra messages.
-  const weight_t b = find_upper_bound(fwd, rev, s, t, opts.k);
-  result.upper_bound = b;
-  std::vector<std::uint8_t> keep(static_cast<size_t>(n), 0);
-  for (vid_t v = 0; v < n; ++v) {
-    if (fwd.dist[v] == kInfDist || rev.dist[v] == kInfDist) continue;
-    const weight_t d = fwd.dist[v] + rev.dist[v];
-    if (b == kInfDist || d <= b) keep[v] = 1;
-  }
+  // Stage 2: the one prune (core/upper_bound), replicated. Every rank runs
+  // it on the same graph and gathered tree, so all compute the same b, keep
+  // mask and reverse tree with no messages. It can fail on one rank alone
+  // (an allocation failure, real or injected), so the ranks agree on its
+  // status before stage 3's collectives, and then all return it.
+  core::PruneOptions po;
+  po.k = opts.k;
+  po.reuse_from_source = &fwd;
+  const core::PruneResult pruned = core::k_upper_bound_prune(g, s, t, po);
+  result.status = comm.allreduce(
+      pruned.status,
+      [](fault::Status::Code a, fault::Status::Code b) {
+        return a != fault::Status::kOk ? a : b;
+      },
+      fault::Status::kOk);
+  if (result.status != fault::Status::kOk) return result;
+  result.upper_bound = pruned.upper_bound;
+  result.kept_vertices = pruned.kept_vertices;
+  if (pruned.kept_vertices == 0) return result;  // t unreachable
 
   // Stage 3: distributed regeneration. Each rank contributes the surviving
   // edges of its OWNED rows; the (tiny) pruned graph is then replicated.
-  std::vector<vid_t> old_to_new(static_cast<size_t>(n), kNoVertex);
-  std::vector<vid_t> new_to_old;
+  compact::VertexMap map;
+  map.old_to_new.assign(static_cast<size_t>(n), kNoVertex);
   for (vid_t v = 0; v < n; ++v) {
-    if (keep[v]) {
-      old_to_new[v] = static_cast<vid_t>(new_to_old.size());
-      new_to_old.push_back(v);
-    }
+    if (!pruned.vertex_keep[v]) continue;
+    map.old_to_new[v] = static_cast<vid_t>(map.new_to_old.size());
+    map.new_to_old.push_back(v);
   }
-  result.kept_vertices = static_cast<vid_t>(new_to_old.size());
   std::vector<vid_t> edge_ids;      // (new_u, new_v) pairs, flattened
   std::vector<weight_t> edge_wgts;
-  for (vid_t lu = 0; lu < fwd_slice.owned(); ++lu) {
-    const vid_t gu = fwd_slice.to_global(lu);
-    if (!keep[gu]) continue;
-    for (eid_t e = fwd_slice.row[lu]; e < fwd_slice.row[lu + 1]; ++e) {
-      const vid_t gv = fwd_slice.col[static_cast<size_t>(e)];
-      const weight_t w = fwd_slice.wgt[static_cast<size_t>(e)];
-      if (!keep[gv]) continue;
-      if (b != kInfDist && w > b) continue;  // Algorithm 2 line 13
-      edge_ids.push_back(old_to_new[gu]);
-      edge_ids.push_back(old_to_new[gv]);
+  for (vid_t lu = 0; lu < slice.owned(); ++lu) {
+    const vid_t gu = slice.to_global(lu);
+    if (!pruned.vertex_keep[gu]) continue;
+    for (eid_t e = slice.row[lu]; e < slice.row[lu + 1]; ++e) {
+      const vid_t gv = slice.col[static_cast<size_t>(e)];
+      const weight_t w = slice.wgt[static_cast<size_t>(e)];
+      if (!pruned.vertex_keep[gv]) continue;
+      if (pruned.edge_keep && !pruned.edge_keep(gu, gv, w)) continue;
+      edge_ids.push_back(map.to_new(gu));
+      edge_ids.push_back(map.to_new(gv));
       edge_wgts.push_back(w);
     }
   }
@@ -220,15 +197,16 @@ DistPeekResult dist_peek_ksp(Comm& comm, const graph::CsrGraph& g, vid_t s,
   }
   const graph::CsrGraph compacted = builder.build();
   result.kept_edges = compacted.num_edges();
-  const vid_t cs = old_to_new[s], ct = old_to_new[t];
+  const vid_t cs = map.to_new(s), ct = map.to_new(t);
   if (cs == kNoVertex || ct == kNoVertex) return result;
 
-  // Stage 4: replicated-state distributed KSP. All ranks hold identical
+  // Stage 4: replicated-state distributed KSP, warm-started from the
+  // prune's reverse tree as peek_ksp is. All ranks hold identical
   // accepted/candidate state; the deviation SSSPs of each accepted path are
   // computed round-robin (outer level of the two-level strategy) and the
   // candidates merged with a deterministic allgather.
   const sssp::BiView view = sssp::BiView::of(compacted);
-  const SsspResult rtree = sssp::dijkstra(view.rev, ct);
+  const SsspResult rtree = core::compacted_reverse_tree(pruned.to_target, map);
   sssp::Path first = sssp::path_from_reverse_parents(rtree, cs, ct);
   if (first.empty()) return result;
 
@@ -325,7 +303,7 @@ DistPeekResult dist_peek_ksp(Comm& comm, const graph::CsrGraph& g, vid_t s,
   // Translate back to original ids.
   result.ksp.paths.reserve(accepted.size());
   for (Candidate& c : accepted) {
-    for (auto& v : c.path.verts) v = new_to_old[v];
+    for (auto& v : c.path.verts) v = map.to_old(v);
     result.ksp.paths.push_back(std::move(c.path));
   }
   return result;

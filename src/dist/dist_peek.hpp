@@ -1,7 +1,8 @@
-// Distributed PeeK (§6.2): 1-D partition, two distributed Δ-stepping SSSPs,
-// replicated upper-bound identification on the gathered arrays, distributed
-// regeneration of the (tiny) pruned graph, and a replicated-state distributed
-// KSP where deviation SSSPs of each accepted path are assigned round-robin
+// Distributed PeeK (§6.2): 1-D partition, one distributed Δ-stepping SSSP
+// from the source, the shared prune (core/upper_bound) replicated on the
+// gathered tree, distributed regeneration of the (tiny) pruned graph, and a
+// replicated-state distributed KSP, warm-started from the prune's reverse
+// tree, where deviation SSSPs of each accepted path are assigned round-robin
 // to ranks (the outer level of the two-level strategy mapped onto nodes).
 #pragma once
 
@@ -13,7 +14,6 @@ namespace peek::dist {
 struct DistPeekOptions {
   int k = 8;
   weight_t delta = 0;
-  double alpha = 0.5;
   /// Backoff schedule for the SSSP request exchanges and the candidate
   /// exchange of the distributed KSP stage (dist/retry.hpp).
   RetryOptions retry;
@@ -34,9 +34,14 @@ struct DistPeekResult {
   weight_t upper_bound = kInfDist;
   vid_t kept_vertices = 0;
   eid_t kept_edges = 0;
-  /// Total edges relaxed across ranks by the two distributed SSSPs — the
-  /// numerator of Figure 10's GTEPS metric.
+  /// Total edges relaxed across ranks by the forward distributed SSSP (the
+  /// prune's reverse search runs replicated, not distributed, and is not
+  /// counted): the numerator of Figure 10's MTEPS column.
   std::int64_t edges_relaxed = 0;
+  /// kOk, or why the run stopped early; identical on every rank. When any
+  /// rank's prune fails (real or injected allocation failure), every rank
+  /// returns that status with no paths.
+  fault::Status::Code status = fault::Status::kOk;
 };
 
 /// Collective: every rank calls with the same graph reference (the shared

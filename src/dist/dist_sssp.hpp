@@ -1,7 +1,7 @@
 // Distributed Δ-stepping (§6.2): each rank owns a 1-D row slice; bucket
 // epochs are agreed by allreduce; relaxations of remote targets travel as
 // (vertex, distance) request messages in an all-to-all exchange — the
-// distributed-memory SSSP the pruning stage runs twice.
+// distributed-memory SSSP DistPeek runs from the source.
 #pragma once
 
 #include "dist/comm.hpp"

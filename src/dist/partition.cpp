@@ -17,9 +17,7 @@ int owner_of(vid_t v, const std::vector<vid_t>& points) {
   return static_cast<int>(it - points.begin()) - 1;
 }
 
-namespace {
-
-LocalGraph slice(const CsrGraph& g, int rank, int ranks) {
+LocalGraph make_local_graph(const CsrGraph& g, int rank, int ranks) {
   const auto points = partition_points(g.num_vertices(), ranks);
   LocalGraph lg;
   lg.rank = rank;
@@ -37,16 +35,6 @@ LocalGraph slice(const CsrGraph& g, int rank, int ranks) {
     lg.row.push_back(static_cast<eid_t>(lg.col.size()));
   }
   return lg;
-}
-
-}  // namespace
-
-LocalGraph make_local_graph(const CsrGraph& g, int rank, int ranks) {
-  return slice(g, rank, ranks);
-}
-
-LocalGraph make_local_reverse_graph(const CsrGraph& g, int rank, int ranks) {
-  return slice(g.reverse(), rank, ranks);
 }
 
 }  // namespace peek::dist

@@ -46,8 +46,4 @@ int owner_of(vid_t v, const std::vector<vid_t>& points);
 /// Extracts rank `r`'s slice of `g` (out-edges of owned vertices).
 LocalGraph make_local_graph(const CsrGraph& g, int rank, int ranks);
 
-/// Extracts the slice of the TRANSPOSE (in-edges of owned vertices, i.e. the
-/// reverse orientation used by the second SSSP of the pruning stage).
-LocalGraph make_local_reverse_graph(const CsrGraph& g, int rank, int ranks);
-
 }  // namespace peek::dist

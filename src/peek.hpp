@@ -54,7 +54,6 @@
 // Dynamic-graph comparator and the distributed runtime.
 #include "dist/dist_peek.hpp"    // IWYU pragma: export
 #include "dist/retry.hpp"        // IWYU pragma: export
-#include "dist/sample_sort.hpp"  // IWYU pragma: export
 #include "dyn/dynamic_graph.hpp" // IWYU pragma: export
 #include "dyn/dynamic_sssp.hpp"  // IWYU pragma: export
 

@@ -2,30 +2,55 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "ksp/bruteforce.hpp"
 #include "test_util.hpp"
 
 namespace peek::dist {
 namespace {
 
+/// DistPeek at each rank count against core::peek_ksp, on every rank.
+/// Distances must be equal under `==`: both prune with the same rule, so
+/// any difference is a lost path, not rounding. With `same_paths` (weights
+/// without ties, so the two SSSPs pick the same parents), b, the kept count
+/// and every path must be identical too.
 void expect_matches_serial_peek(const graph::CsrGraph& g, vid_t s, vid_t t,
-                                int k, int ranks) {
+                                int k, std::initializer_list<int> rank_counts,
+                                bool same_paths = false) {
   core::PeekOptions po;
   po.k = k;
-  auto serial = core::peek_ksp(g, s, t, po);
-  std::vector<std::vector<sssp::Path>> per_rank(static_cast<size_t>(ranks));
-  run_ranks(ranks, [&](Comm& c) {
-    DistPeekOptions opts;
-    opts.k = k;
-    auto r = dist_peek_ksp(c, g, s, t, opts);
-    per_rank[static_cast<size_t>(c.rank())] = r.ksp.paths;
-  });
-  for (int r = 0; r < ranks; ++r) {
-    SCOPED_TRACE(r);
-    test::expect_same_distances(serial.ksp.paths,
-                                per_rank[static_cast<size_t>(r)]);
+  const auto serial = core::peek_ksp(g, s, t, po);
+  for (int ranks : rank_counts) {
+    SCOPED_TRACE(::testing::Message() << "ranks " << ranks);
+    std::vector<DistPeekResult> per_rank(static_cast<size_t>(ranks));
+    run_ranks(ranks, [&](Comm& c) {
+      DistPeekOptions opts;
+      opts.k = k;
+      per_rank[static_cast<size_t>(c.rank())] =
+          dist_peek_ksp(c, g, s, t, opts);
+    });
+    for (int r = 0; r < ranks; ++r) {
+      SCOPED_TRACE(r);
+      const DistPeekResult& got = per_rank[static_cast<size_t>(r)];
+      test::expect_same_distances(serial.ksp.paths, got.ksp.paths);
+      ASSERT_EQ(got.ksp.paths.size(), serial.ksp.paths.size());
+      for (size_t i = 0; i < got.ksp.paths.size(); ++i) {
+        EXPECT_EQ(got.ksp.paths[i].dist, serial.ksp.paths[i].dist)
+            << "position " << i;
+      }
+      if (same_paths) {
+        EXPECT_EQ(got.upper_bound, serial.upper_bound);
+        EXPECT_EQ(got.kept_vertices, serial.kept_vertices);
+        for (size_t i = 0; i < got.ksp.paths.size(); ++i) {
+          EXPECT_EQ(got.ksp.paths[i].verts, serial.ksp.paths[i].verts)
+              << "position " << i;
+        }
+      }
+    }
+    if (!per_rank[0].ksp.paths.empty())
+      test::check_ksp_invariants(g, s, t, per_rank[0].ksp.paths);
   }
-  if (!per_rank[0].empty()) test::check_ksp_invariants(g, s, t, per_rank[0]);
 }
 
 TEST(DistPeek, PaperExample) {
@@ -44,12 +69,34 @@ TEST(DistPeek, PaperExample) {
 
 TEST(DistPeek, MatchesSerialAcrossRankCounts) {
   auto g = test::random_graph(120, 960, 801);
-  for (int ranks : {1, 2, 4}) expect_matches_serial_peek(g, 0, 60, 8, ranks);
+  expect_matches_serial_peek(g, 0, 60, 8, {1, 2, 4});
+
+  // Many pairs and K values: the K-th path's vertices can sum an ulp above
+  // b, and a keep rule without keep_slack drops them. Single pairs rarely
+  // hit that; uniform weights (no ties) then pin down b, the kept set and
+  // every path, and unit weights stress ties on distances alone.
+  for (std::uint64_t seed = 811; seed < 818; ++seed) {
+    const bool unit = seed >= 816;
+    auto er = test::random_graph(200, 1600, seed, unit);
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<vid_t> pick(0, er.num_vertices() - 1);
+    for (int pair = 0; pair < 6; ++pair) {
+      const vid_t s = pick(rng);
+      vid_t t = pick(rng);
+      if (t == s) t = (s + 1) % er.num_vertices();
+      for (int k : {4, 16, 64}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " s " << s
+                                          << " t " << t << " k " << k);
+        expect_matches_serial_peek(er, s, t, k, {1, 2, 4},
+                                   /*same_paths=*/!unit);
+      }
+    }
+  }
 }
 
 TEST(DistPeek, UnitWeights) {
   auto g = test::random_graph(100, 1000, 803, /*unit_weights=*/true);
-  expect_matches_serial_peek(g, 0, 50, 6, 3);
+  expect_matches_serial_peek(g, 0, 50, 6, {3});
 }
 
 TEST(DistPeek, UnreachablePair) {

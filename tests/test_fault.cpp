@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/peek.hpp"
+#include "dist/dist_peek.hpp"
 #include "fault/cancel.hpp"
 #include "fault/injector.hpp"
 #include "fault/status.hpp"
@@ -350,6 +351,69 @@ TEST_F(FaultTest, SeedSweepFaultsAreTypedAndCounted) {
 
   unsetenv("PEEK_FAULT_RATE");
   unsetenv("PEEK_FAULT_SITES");
+}
+
+// DistPeek runs the prune on every rank, and an allocation failure can hit
+// one rank and not another. The ranks must agree on the status before the
+// next collective (or the others wait forever for the failed rank), and all
+// return one answer: the exact one, or no paths with the failure's status.
+// The probe's hit order across ranks varies, but its fire count per seed
+// does not; seeds run until both outcomes were seen.
+TEST_F(FaultTest, DistPeekRanksAgreeOnAFailedPrune) {
+  setenv("PEEK_FAULT_SEED", "1", /*overwrite=*/0);  // default when CI not set
+  const std::uint64_t env_seed =
+      std::strtoull(std::getenv("PEEK_FAULT_SEED"), nullptr, 10);
+  auto g = test::random_graph(150, 900, 17);
+  const vid_t s = 0, t = g.num_vertices() - 1;
+  const int k = 4, ranks = 3;
+  core::PeekOptions po;
+  po.k = k;
+  const auto serial = core::peek_ksp(g, s, t, po);
+  ASSERT_FALSE(serial.ksp.paths.empty());
+
+  int failed = 0, answered = 0;
+  for (std::uint64_t i = 0;
+       i < 200 && (i < 20 || failed == 0 || answered == 0); ++i) {
+    fault::InjectorConfig cfg;
+    cfg.enabled = true;
+    cfg.seed = 1000 * env_seed + i;
+    cfg.rate_permille = 500;
+    cfg.site_filter = "prune.sssp.alloc";
+    fault::Injector::global().configure(cfg);
+    std::vector<dist::DistPeekResult> per_rank(ranks);
+    dist::run_ranks(ranks, [&](dist::Comm& c) {
+      dist::DistPeekOptions opts;
+      opts.k = k;
+      per_rank[static_cast<size_t>(c.rank())] =
+          dist::dist_peek_ksp(c, g, s, t, opts);
+    });
+    const bool fired = fault::Injector::global().total_fired() > 0;
+    fault::Injector::global().disable();
+
+    SCOPED_TRACE(::testing::Message() << "injector seed " << cfg.seed);
+    const dist::DistPeekResult& first = per_rank[0];
+    for (const auto& r : per_rank) {
+      EXPECT_EQ(r.status, first.status);
+      ASSERT_EQ(r.ksp.paths.size(), first.ksp.paths.size());
+      for (size_t j = 0; j < r.ksp.paths.size(); ++j) {
+        EXPECT_EQ(r.ksp.paths[j].verts, first.ksp.paths[j].verts);
+        EXPECT_EQ(r.ksp.paths[j].dist, first.ksp.paths[j].dist);
+      }
+    }
+    if (fired) {
+      ++failed;
+      EXPECT_EQ(first.status, fault::Status::kResourceExhausted);
+      EXPECT_TRUE(first.ksp.paths.empty());
+    } else {
+      ++answered;
+      EXPECT_EQ(first.status, fault::Status::kOk);
+      ASSERT_EQ(first.ksp.paths.size(), serial.ksp.paths.size());
+      for (size_t j = 0; j < first.ksp.paths.size(); ++j)
+        EXPECT_EQ(first.ksp.paths[j].dist, serial.ksp.paths[j].dist);
+    }
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(answered, 0);
 }
 
 // ------------------------------------------------------------- serving --

@@ -57,14 +57,5 @@ TEST(LocalGraph, OwnershipHelpers) {
   EXPECT_EQ(lg.to_global(lg.to_local(lg.begin)), lg.begin);
 }
 
-TEST(LocalGraph, ReverseSliceMatchesTranspose) {
-  auto g = test::random_graph(30, 200, 605);
-  const auto& rev = g.reverse();
-  auto lg = make_local_reverse_graph(g, 0, 3);
-  for (vid_t lv = 0; lv < lg.owned(); ++lv) {
-    EXPECT_EQ(lg.row[lv + 1] - lg.row[lv], rev.degree(lg.to_global(lv)));
-  }
-}
-
 }  // namespace
 }  // namespace peek::dist
