@@ -17,7 +17,8 @@
 // With --storm-mutations the harness instead gates the live-mutation
 // pipeline (DESIGN.md §15): a mutator thread races randomized UpdateBatches
 // through a live fleet while the Zipf storm queries it and the injector
-// stalls and crashes cone repairs (dyn.repair.{stall,crash}). Every answer
+// stalls and crashes cone repairs (dyn.repair.{stall,crash}) and stalls
+// queries right after their read (serve.query.stall). Every answer
 // must be kOk; every non-stale answer must be bit-identical to
 // core::peek_ksp on the graph of its stamped effective epoch; every stale
 // answer must be bit-identical to the truth of its base epoch AND keep each
@@ -188,8 +189,10 @@ int run_mutation_storm(std::uint64_t seed, int seconds,
   inj.rate_permille = rate;
   // Long enough that a stalled repair keeps the bounded-staleness window
   // open across many storm queries — the stale-soundness gate needs hits.
+  // The same stall parks a few queries right after their read, so batches
+  // land between a query's read and its answer.
   inj.stall = std::chrono::milliseconds(8);
-  inj.site_filter = "dyn.repair.stall,dyn.repair.crash";
+  inj.site_filter = "dyn.repair.stall,dyn.repair.crash,serve.query.stall";
   inj.max_fires = max_fires;
   fo.injector = inj;
   shard::ShardFleet fleet(dg, fo);
@@ -356,6 +359,7 @@ int run_mutation_storm(std::uint64_t seed, int seconds,
   auto& injector = fault::Injector::global();
   const std::int64_t crash_fired = injector.fired("dyn.repair.crash");
   const std::int64_t stall_fired = injector.fired("dyn.repair.stall");
+  const std::int64_t query_stall_fired = injector.fired("serve.query.stall");
   injector.disable();
 
   // Convergence: chaos off, everything delivered and repaired — every
@@ -391,6 +395,7 @@ int run_mutation_storm(std::uint64_t seed, int seconds,
   const std::int64_t fallbacks = counter("dyn.repair.fallbacks");
   const std::int64_t repaired = counter("dyn.repair.trees");
   const std::int64_t stale_metric = counter("serve.stale_answers");
+  const std::int64_t races = counter("serve.epoch_races");
   const std::int64_t bounces = counter("shard.epoch_bounces");
   const std::int64_t upgrades = counter("shard.stale_upgrades");
 
@@ -400,13 +405,16 @@ int run_mutation_storm(std::uint64_t seed, int seconds,
               structural_batches.load(),
               static_cast<unsigned long long>(fence));
   std::printf("chaos: %lld repair stalls, %lld repair crashes -> %lld "
-              "fallbacks, %lld trees repaired, %lld stale answers, %lld "
-              "epoch bounces, %lld stale upgrades\n",
+              "fallbacks, %lld trees repaired, %lld query stalls, %lld stale "
+              "answers, %lld epoch races, %lld epoch bounces, %lld stale "
+              "upgrades\n",
               static_cast<long long>(stall_fired),
               static_cast<long long>(crash_fired),
               static_cast<long long>(fallbacks),
               static_cast<long long>(repaired),
+              static_cast<long long>(query_stall_fired),
               static_cast<long long>(stale_metric),
+              static_cast<long long>(races),
               static_cast<long long>(bounces),
               static_cast<long long>(upgrades));
 
@@ -457,7 +465,8 @@ int run_mutation_storm(std::uint64_t seed, int seconds,
           "  \"batches\": %ld,\n  \"structural_batches\": %ld,\n"
           "  \"fence_epoch\": %llu,\n  \"repair_stalls\": %lld,\n"
           "  \"repair_crashes\": %lld,\n  \"fallbacks\": %lld,\n"
-          "  \"trees_repaired\": %lld,\n  \"epoch_bounces\": %lld,\n"
+          "  \"trees_repaired\": %lld,\n  \"query_stalls\": %lld,\n"
+          "  \"epoch_races\": %lld,\n  \"epoch_bounces\": %lld,\n"
           "  \"stale_upgrades\": %lld,\n  \"converge_bad\": %ld,\n"
           "  \"stale_left\": %zu,\n  \"violations\": %zu\n}\n",
           static_cast<unsigned long long>(seed), storm_s, sum.total, sum.ok,
@@ -467,7 +476,9 @@ int run_mutation_storm(std::uint64_t seed, int seconds,
           static_cast<long long>(crash_fired),
           static_cast<long long>(fallbacks),
           static_cast<long long>(repaired),
-          static_cast<long long>(bounces), static_cast<long long>(upgrades),
+          static_cast<long long>(query_stall_fired),
+          static_cast<long long>(races), static_cast<long long>(bounces),
+          static_cast<long long>(upgrades),
           converge_bad, stale_left, violations.size());
       std::fclose(f);
     }

@@ -31,6 +31,20 @@ RegeneratedGraph regenerate_impl(const GraphView& view,
     return !keep || keep(u, v, view.edge_weight(e));
   };
 
+  // Exclusive prefix sum of `in` into `out`, returning the total. The
+  // parallel scan opens two thread regions, which a serial caller must not
+  // pay for.
+  auto prefix_sum = [&](std::span<const std::int64_t> in,
+                        std::span<std::int64_t> out) {
+    if (opts.parallel) return par::exclusive_prefix_sum(in, out);
+    std::int64_t run = 0;
+    for (size_t i = 0; i < in.size(); ++i) {
+      out[i] = run;
+      run += in[i];
+    }
+    return run;
+  };
+
   // Pass 1: kept flags -> new ids via prefix sum.
   std::vector<std::int64_t> flag(static_cast<size_t>(n_old));
   auto mark = [&](vid_t v) { flag[v] = vertex_kept(v) ? 1 : 0; };
@@ -38,9 +52,7 @@ RegeneratedGraph regenerate_impl(const GraphView& view,
   else for (vid_t v = 0; v < n_old; ++v) mark(v);
 
   std::vector<std::int64_t> id(static_cast<size_t>(n_old));
-  const std::int64_t n_new =
-      par::exclusive_prefix_sum(std::span<const std::int64_t>(flag),
-                                std::span<std::int64_t>(id));
+  const std::int64_t n_new = prefix_sum(flag, id);
 
   VertexMap map;
   map.old_to_new.assign(static_cast<size_t>(n_old), kNoVertex);
@@ -74,9 +86,8 @@ RegeneratedGraph regenerate_impl(const GraphView& view,
   else for (vid_t v = 0; v < n_old; ++v) count_deg(v);
 
   std::vector<std::int64_t> offsets(static_cast<size_t>(n_new) + 1, 0);
-  const std::int64_t m_new = par::exclusive_prefix_sum(
-      std::span<const std::int64_t>(deg),
-      std::span<std::int64_t>(offsets.data(), static_cast<size_t>(n_new)));
+  const std::int64_t m_new = prefix_sum(
+      deg, std::span<std::int64_t>(offsets.data(), static_cast<size_t>(n_new)));
   offsets[static_cast<size_t>(n_new)] = m_new;
 
   if (poll.should_stop()) {

@@ -134,31 +134,11 @@ class Comm {
     return allreduce(mine, [](T a, T b) { return a + b; }, T{});
   }
 
-  /// Root's vector reaches every rank.
-  template <typename T>
-  std::vector<T> broadcast(const std::vector<T>& mine, int root) {
-    if (rank_ == root) publish(mine);
-    barrier();
-    std::vector<T> out = snoop<T>(root);
-    barrier();
-    return out;
-  }
-
   /// All-to-all personalised exchange: element [r] of `outboxes` goes to
   /// rank r; returns what every rank addressed to me (indexed by source).
-  template <typename T>
-  std::vector<std::vector<T>> all_to_all(
-      const std::vector<std::vector<T>>& outboxes, int tag) {
-    for (int r = 0; r < size(); ++r)
-      send(r, tag, outboxes[static_cast<size_t>(r)]);
-    std::vector<std::vector<T>> in(static_cast<size_t>(size()));
-    for (int r = 0; r < size(); ++r) in[static_cast<size_t>(r)] = recv<T>(r, tag);
-    return in;
-  }
-
-  /// all_to_all with every send wrapped in with_retry: a TransientError from
-  /// the transport (lost message, injected `dist.comm.send` fault) is retried
-  /// on the jittered exponential schedule instead of killing the rank. Sends
+  /// Every send is wrapped in with_retry: a TransientError from the
+  /// transport (lost message, injected `dist.comm.send` fault) is retried on
+  /// the jittered exponential schedule instead of killing the rank. Sends
   /// fail before enqueue, so retries are idempotent.
   template <typename T>
   std::vector<std::vector<T>> all_to_all_reliable(

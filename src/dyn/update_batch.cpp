@@ -51,6 +51,27 @@ bool AppliedBatch::any_applied() const {
   return false;
 }
 
+void BatchLog::record(const AppliedBatch& b) {
+  records_.push_back({b.epoch, b.structural(), b.weight_delta_sum()});
+  if (records_.size() > kCapacity) records_.pop_front();
+}
+
+std::optional<weight_t> BatchLog::bound(std::uint64_t from,
+                                        std::uint64_t to) const {
+  weight_t sum = 0;
+  std::uint64_t held = 0;
+  for (const Record& r : records_) {
+    if (r.epoch <= from || r.epoch > to) continue;
+    if (r.structural) return std::nullopt;
+    sum += r.delta;
+    ++held;
+  }
+  // Epochs are dense, so the range is covered iff all to - from of its
+  // batches are still held (from > to wraps to a count never held).
+  if (held != to - from) return std::nullopt;
+  return sum;
+}
+
 AppliedBatch apply(DynamicGraph& g, const UpdateBatch& batch) {
   AppliedBatch out;
   out.ops.reserve(batch.ops.size());

@@ -34,10 +34,13 @@
 // order statistic of the path-weight multiset moves by at most
 // weight_bound = sum of |w_new - w_old| — the error bound the engine attaches
 // to stale answers. A pair affected by an insert or delete has no such bound
-// and must never be served stale.
+// and must never be served stale. BatchLog carries that bound across several
+// batches, for the engine's labels and the fleet's fence alike.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <vector>
 
 #include "dyn/dynamic_graph.hpp"
@@ -107,6 +110,34 @@ struct AppliedBatch {
   /// pre-mutation distance can shrink without crossing an inserted edge.
   weight_t weight_decrease_sum() const;
   bool any_applied() const;
+};
+
+/// The one batch log (DESIGN.md §15): the most recent adopted batches, each
+/// with its epoch, whether it was structural and its weight_delta_sum. It
+/// bounds how far an answer exact at one epoch can be from the truth at a
+/// later one; the engine labels its answers with it and the fleet fences
+/// with it. Not thread-safe: each owner keeps it under its own lock.
+class BatchLog {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+
+  /// Appends `b` under its (stamped) epoch; the oldest record leaves once
+  /// more than kCapacity are held.
+  void record(const AppliedBatch& b);
+  /// Per-rank weight bound from epoch `from` to epoch `to`: the sum of
+  /// weight_delta_sum over the batches in (from, to], 0 when from == to.
+  /// Empty when one of them was structural (no weight bound covers a
+  /// topology change) or is not in the log.
+  std::optional<weight_t> bound(std::uint64_t from, std::uint64_t to) const;
+  void clear() { records_.clear(); }
+
+ private:
+  struct Record {
+    std::uint64_t epoch = 0;
+    bool structural = false;
+    weight_t delta = 0;
+  };
+  std::deque<Record> records_;
 };
 
 /// Applies `batch` to `g` in order (single-writer: the caller serializes

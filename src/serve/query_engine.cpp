@@ -24,9 +24,9 @@ void to_original_ids(sssp::Path& p, const compact::VertexMap& map) {
   for (auto& v : p.verts) v = map.to_old(v);
 }
 
-/// How often one query re-runs after its compute raced a batch (or an
-/// invalidation) before giving up with kOverloaded. Each retry works against
-/// a refreshed snapshot, so in practice one suffices.
+/// How often one query re-reads after the label found no bound for its answer
+/// (a structural batch landed mid-pass) before giving up with kOverloaded.
+/// Each retry reads the new epoch, so in practice one suffices.
 constexpr int kMaxEpochRetries = 8;
 
 }  // namespace
@@ -61,7 +61,7 @@ QueryEngine::QueryEngine(const dyn::DynamicGraph& dg, const ServeOptions& opts)
 
 QueryEngine::QueryEngine(std::shared_ptr<const graph::CsrGraph> g,
                          const dyn::DynamicGraph* dg, const ServeOptions& opts)
-    : dyn_graph_(dg), opts_(opts), cache_(opts.cache) {
+    : dyn_graph_(dg), n_(g->num_vertices()), opts_(opts), cache_(opts.cache) {
   {
     // Uncontended (no other thread exists yet); taken so the annotation on
     // graph_ holds unconditionally.
@@ -181,8 +181,7 @@ void QueryEngine::adopt_batch(dyn::AppliedBatch& b,
                 : std::make_shared<const graph::CsrGraph>(
                       dyn::patched_csr(*dyn_graph_, *graph_, b));
 
-  batch_history_.push_back({e, b.structural(), b.weight_delta_sum()});
-  while (batch_history_.size() > 64) batch_history_.pop_front();
+  batch_log_.record(b);
 
   const std::uint64_t gen = generation();
 
@@ -249,28 +248,21 @@ void QueryEngine::adopt_batch(dyn::AppliedBatch& b,
     }
   }
 
-  // Stale side table + epoch store under stale_mu_: a reader holding
-  // stale_mu_ sees a table consistent with the epoch it reads.
-  {
-    check::MutexLock slock(stale_mu_);
-    for (auto it = stale_snaps_.begin(); it != stale_snaps_.end();) {
-      if (b.structural()) {
-        // The entry's pre-mutation trees are gone, so a structural batch
-        // cannot be pair-tested against it — and without the test no finite
-        // weight bound is sound. Drop it; the pair recomputes fresh.
-        it = stale_snaps_.erase(it);
-      } else {
-        // Conservative: widen by the whole batch's reweight mass without
-        // re-testing (the entry may well be unaffected by this batch).
-        it->second.bound += b.weight_delta_sum();
-        ++it;
-      }
+  // The side table keeps only entries the log can still widen to `e`: an
+  // entry's pre-mutation trees are gone, so a later batch cannot be
+  // pair-tested against it, and a structural one leaves no sound bound. The
+  // pair then recomputes fresh.
+  for (auto it = stale_snaps_.begin(); it != stale_snaps_.end();) {
+    if (batch_log_.bound(it->second.epoch + 1, e)) {
+      ++it;
+    } else {
+      it = stale_snaps_.erase(it);
     }
-    for (auto& [sr, bound] : newly_stale) {
-      stale_snaps_[{sr.s, sr.t}] = StaleEntry{sr.snap, prev, bound};
-    }
-    mutation_epoch_.store(e, std::memory_order_release);
   }
+  for (auto& [sr, bound] : newly_stale) {
+    stale_snaps_[{sr.s, sr.t}] = StaleEntry{sr.snap, prev, bound};
+  }
+  mutation_epoch_.store(e, std::memory_order_release);
 
   // One sweep applies the decisions: keepers are restamped to epoch `e`
   // (still valid, served fresh with zero work), the rest erased in place.
@@ -329,7 +321,6 @@ void QueryEngine::repair_loop() {
                             rr.trees[i], generation(), task.epoch);
           }
         }
-        check::MutexLock slock(stale_mu_);
         stale_snaps_.clear();  // fresh computes are cheap again: trees are back
         repaired_epoch_.store(task.epoch, std::memory_order_release);
       }
@@ -348,7 +339,6 @@ void QueryEngine::repair_loop() {
         check::MutexLock rlock(repair_mu_);
         repair_pending_.reset();  // superseded by the wholesale invalidation
       }
-      check::MutexLock slock(stale_mu_);
       stale_snaps_.clear();
       repaired_epoch_.store(mutation_epoch_.load(std::memory_order_relaxed),
                             std::memory_order_release);
@@ -369,19 +359,18 @@ void QueryEngine::drain_repairs() {
 
 void QueryEngine::reset_epoch(std::uint64_t epoch) {
   check::MutexLock lock(dyn_mu_);
-  batch_history_.clear();
+  batch_log_.clear();
   {
     check::MutexLock rlock(repair_mu_);
     repair_pending_.reset();
   }
-  check::MutexLock slock(stale_mu_);
   stale_snaps_.clear();
   mutation_epoch_.store(epoch, std::memory_order_release);
   repaired_epoch_.store(epoch, std::memory_order_release);
 }
 
 std::size_t QueryEngine::stale_entries() {
-  check::MutexLock lock(stale_mu_);
+  check::MutexLock lock(dyn_mu_);
   return stale_snaps_.size();
 }
 
@@ -405,31 +394,57 @@ bool QueryEngine::publish_snapshot(vid_t s, vid_t t,
   return true;
 }
 
-bool QueryEngine::stale_bound_since(std::uint64_t epoch0, Staleness* out) {
+QueryEngine::Read QueryEngine::read(vid_t s, vid_t t, int k) {
+  Read r;
   check::MutexLock lock(dyn_mu_);
-  const std::uint64_t now = mutation_epoch_.load(std::memory_order_relaxed);
-  if (now == epoch0) {
-    // The epoch settled back by the time we got the lock — the answer is
-    // current after all.
-    out->stale = false;
-    return true;
+  r.epoch = mutation_epoch_.load(std::memory_order_relaxed);
+  r.graph = graph_;
+  r.gen = generation();
+  if (cache_.byte_budget() == 0) return r;  // nothing is ever cached
+  r.snap = cache_.get_snapshot(s, t, r.gen);
+  if (k == 0) return r;
+  if (r.snap && PEEK_FAULT_FIRE("serve.snapshot.corrupt")) {
+    // Corruption probe: drop the hit and recompute; the fresh snapshot
+    // replaces the doubted entry.
+    PEEK_COUNT_INC("serve.cache.corruption_drops");
+    r.snap = nullptr;
   }
-  // Coverage check: the bounded history must contain every batch in
-  // (epoch0, now] — adoption is in epoch order without gaps, so it does iff
-  // the oldest retained record is <= epoch0 + 1.
-  if (batch_history_.empty() || batch_history_.front().epoch > epoch0 + 1) {
-    return false;
+  if (r.snap && r.snap->k_budget >= k) return r;
+  if (repaired_epoch() < r.epoch) {
+    auto it = stale_snaps_.find({s, t});
+    if (it != stale_snaps_.end()) r.stale = it->second;
   }
-  weight_t bound = 0;
-  for (const BatchImpact& bi : batch_history_) {
-    if (bi.epoch <= epoch0 || bi.epoch > now) continue;
-    if (bi.structural) return false;  // no weight bound covers a topology change
-    bound += bi.bound;
+  r.fwd = cache_.get_tree(ArtifactKind::kForwardTree, s, r.gen);
+  r.rev = cache_.get_tree(ArtifactKind::kReverseTree, t, r.gen);
+  return r;
+}
+
+bool QueryEngine::label(ServeResult& out, vid_t s, vid_t t,
+                        const Provenance& p) {
+  out.staleness = Staleness{};
+  out.staleness.epoch = p.epoch;
+  if (mutation_epoch() == p.epoch) return true;
+  std::uint64_t now = 0;
+  std::optional<weight_t> widen;
+  {
+    check::MutexLock lock(dyn_mu_);
+    now = mutation_epoch_.load(std::memory_order_relaxed);
+    if (p.snap != nullptr &&
+        cache_.get_snapshot(s, t, generation()).get() == p.snap) {
+      // Still the cached entry: every sweep since p.epoch restamped it, so
+      // the answer is exact for `now` too.
+      out.staleness.epoch = now;
+      return true;
+    }
+    widen = batch_log_.bound(p.covered, now);
   }
-  out->stale = true;
-  out->epoch = epoch0;
-  out->epochs_behind = now - epoch0;
-  out->weight_bound = bound;
+  if (!widen) return false;
+  out.staleness.stale = true;
+  out.staleness.epochs_behind = now - p.epoch;
+  out.staleness.weight_bound = p.bound + *widen;
+  PEEK_COUNT_INC("serve.stale_answers");
+  PEEK_GAUGE_SET("serve.staleness.epochs_behind",
+                 static_cast<std::int64_t>(out.staleness.epochs_behind));
   return true;
 }
 
@@ -531,35 +546,23 @@ bool QueryEngine::serve_from_snapshot(PrunedSnapshot& snap, int k,
 
 bool QueryEngine::serve_degraded(vid_t s, vid_t t, int k, ServeResult& out) {
   if (!opts_.degraded_serving) return false;
-  // The epoch is read before the lookup, as in query(): a hit is exact for
-  // epoch0 unless a batch swept it meanwhile (checked below).
-  const std::uint64_t epoch0 = mutation_epoch();
-  auto snap = cache_.get_snapshot(s, t, generation());
-  if (!snap) return false;
+  const Read r = read(s, t, /*k=*/0);
+  if (!r.snap) return false;
   {
-    check::MutexLock lock(snap->mu);
+    check::MutexLock lock(r.snap->mu);
     // Already-materialized paths only — a shed query must not touch the
     // graph. An exhausted snapshot's paths are complete, so even an empty
     // list is a definitive (unreachable) answer then.
-    if (snap->paths.empty() && !snap->exhausted) return false;
+    if (r.snap->paths.empty() && !r.snap->exhausted) return false;
     const size_t take = std::min<size_t>(static_cast<size_t>(k),
-                                         snap->paths.size());
-    out.paths.assign(snap->paths.begin(), snap->paths.begin() + take);
-    out.upper_bound = snap->upper_bound;
+                                         r.snap->paths.size());
+    out.paths.assign(r.snap->paths.begin(), r.snap->paths.begin() + take);
+    out.upper_bound = r.snap->upper_bound;
   }
-  // query()'s swept-entry check: a batch landed mid-lookup and swept this
-  // entry, so the paths are exact for epoch0 only. Serve them bounded-stale
-  // when every batch since was reweight-only, else not at all.
-  if (mutation_epoch() != epoch0 &&
-      cache_.get_snapshot(s, t, generation()) != snap) {
-    if (!stale_bound_since(epoch0, &out.staleness) || !out.staleness.stale) {
-      out.paths.clear();
-      out.staleness = {};
-      return false;
-    }
-    PEEK_COUNT_INC("serve.stale_answers");
-  } else {
-    out.staleness.epoch = epoch0;
+  if (!label(out, s, t, {r.epoch, r.epoch, 0, r.snap.get()})) {
+    out.paths.clear();
+    out.staleness = {};
+    return false;
   }
   out.snapshot_hit = true;
   out.degraded = true;
@@ -567,16 +570,18 @@ bool QueryEngine::serve_degraded(vid_t s, vid_t t, int k, ServeResult& out) {
   return true;
 }
 
+bool QueryEngine::check_args(vid_t s, vid_t t, int k, ServeResult& out) const {
+  if (k > 0 && s >= 0 && s < n_ && t >= 0 && t < n_) return true;
+  out.status = {fault::Status::kInvalidArgument,
+                "query requires 0 <= s,t < n and k > 0"};
+  PEEK_COUNT_INC("serve.invalid_arguments");
+  return false;
+}
+
 ServeResult QueryEngine::query_cached_only(vid_t s, vid_t t, int k) {
   const auto t0 = std::chrono::steady_clock::now();
   ServeResult out;
-  auto g = active_graph();
-  if (k <= 0 || s < 0 || s >= g->num_vertices() || t < 0 ||
-      t >= g->num_vertices()) {
-    out.status = {fault::Status::kInvalidArgument,
-                  "query requires 0 <= s,t < n and k > 0"};
-    PEEK_COUNT_INC("serve.invalid_arguments");
-  } else if (!serve_degraded(s, t, k, out)) {
+  if (check_args(s, t, k, out) && !serve_degraded(s, t, k, out)) {
     // Honors ServeOptions::degraded_serving: disabled means no cached-only
     // answers, same as the shed path.
     out.status = {fault::Status::kOverloaded,
@@ -587,14 +592,12 @@ ServeResult QueryEngine::query_cached_only(vid_t s, vid_t t, int k) {
 }
 
 std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
-    const graph::CsrGraph& g, vid_t s, vid_t t, int k_budget,
-    std::uint64_t generation, std::uint64_t epoch0, ServeResult& out,
+    const Read& r, vid_t s, vid_t t, int k_budget, ServeResult& out,
     const fault::CancelToken* cancel) {
   PEEK_TIMER_SCOPE("serve.compute");
-  std::shared_ptr<const sssp::SsspResult> fwd =
-      cache_.get_tree(ArtifactKind::kForwardTree, s, generation);
-  std::shared_ptr<const sssp::SsspResult> rev =
-      cache_.get_tree(ArtifactKind::kReverseTree, t, generation);
+  const graph::CsrGraph& g = *r.graph;
+  std::shared_ptr<const sssp::SsspResult> fwd = r.fwd;
+  std::shared_ptr<const sssp::SsspResult> rev = r.rev;
   // Corruption probes: a hit flagged corrupt is dropped on the floor and
   // recomputed — the fresh artifact overwrites the cache entry.
   if (fwd && PEEK_FAULT_FIRE("serve.tree.corrupt")) {
@@ -637,7 +640,7 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
     publish_tree(ArtifactKind::kForwardTree, s,
                  std::make_shared<sssp::SsspResult>(
                      std::move(pruned.from_source)),
-                 generation, epoch0);
+                 r.gen, r.epoch);
   }
   if (!rev) {
     // The prune's reverse tree covers only about its kept set; the
@@ -659,7 +662,7 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
     }
     publish_tree(ArtifactKind::kReverseTree, t,
                  std::make_shared<sssp::SsspResult>(std::move(tree)),
-                 generation, epoch0);
+                 r.gen, r.epoch);
   }
 
   // The snapshot is private until put_snapshot publishes it, but its
@@ -714,18 +717,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
   ServeResult out;
   PEEK_COUNT_INC("serve.queries");
   PEEK_TIMER_SCOPE("serve.query");
-
-  // epoch0 is read before the graph snapshot, so a batch landing in between
-  // makes the publish guard fail conservatively (the snapshot is newer than
-  // the claimed epoch, never older).
-  std::uint64_t epoch0 = mutation_epoch();
-  auto g = active_graph();
-  std::uint64_t gen = generation();
-  if (k <= 0 || s < 0 || s >= g->num_vertices() || t < 0 ||
-      t >= g->num_vertices()) {
-    out.status = {fault::Status::kInvalidArgument,
-                  "query requires 0 <= s,t < n and k > 0"};
-    PEEK_COUNT_INC("serve.invalid_arguments");
+  if (!check_args(s, t, k, out)) {
     out.seconds = seconds_since(t0);
     return out;
   }
@@ -774,283 +766,185 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
     slot.counter = &admitted_;
   }
 
-  if (cache_.byte_budget() == 0) {
-    // Memory-pressure degradation: plain uncached PeeK. The compute can race
-    // a batch; retry against the fresh snapshot, or serve with an explicit
-    // bound when the races were reweight-only.
-    for (int attempt = 0;; ++attempt) {
-      epoch0 = mutation_epoch();
-      g = active_graph();
+  const bool uncached = cache_.byte_budget() == 0;
+  const std::pair<vid_t, vid_t> key{s, t};
+  std::shared_ptr<const graph::CsrGraph> g;  // the last pass's graph
+  for (int retries = 0;;) {
+    // One pass: one read, one answer, one label. A pass that waited on a
+    // coalesced owner, lost its compute to invalidate(), or got no bound
+    // from the label starts over with a fresh read.
+    const Read r = read(s, t, k);
+    PEEK_FAULT_STALL("serve.query.stall");
+    g = r.graph;
+    out.staleness.epoch = r.epoch;  // label() refines it for every answer
+    Provenance p{r.epoch, r.epoch, 0, nullptr};
+
+    if (uncached) {
+      // Memory-pressure degradation: plain uncached PeeK at exactly K.
       core::PeekOptions po = opts_.peek;
       po.k = k;
       po.cancel = cancel;
-      auto r = core::peek_ksp(*g, s, t, po);
-      out.paths = std::move(r.ksp.paths);
-      out.upper_bound = r.upper_bound;
-      out.status.code = r.status;
+      auto res = core::peek_ksp(*r.graph, s, t, po);
+      out.paths = std::move(res.ksp.paths);
+      out.upper_bound = res.upper_bound;
+      out.status.code = res.status;
       out.uncached = true;
-      if (mutation_epoch() != epoch0) {
-        if (!stale_bound_since(epoch0, &out.staleness)) {
-          if (attempt < kMaxEpochRetries) {
-            out = ServeResult{};
-            continue;
-          }
-          out.status = {fault::Status::kOverloaded,
-                        "mutation storm outran the query"};
-        } else if (out.staleness.stale) {
-          PEEK_COUNT_INC("serve.stale_answers");
-          PEEK_GAUGE_SET("serve.staleness.epochs_behind",
-                         static_cast<std::int64_t>(out.staleness.epochs_behind));
-        }
-      }
-      break;
-    }
-    PEEK_COUNT_INC("serve.uncached_fallbacks");
-    if (out.status.code == fault::Status::kDeadlineExceeded) {
-      PEEK_COUNT_INC("serve.deadline_exceeded");
-    }
-    // Content-epoch stamp (see Staleness::epoch): fresh answers claim the
-    // epoch their compute was validated against.
-    if (!out.staleness.stale) out.staleness.epoch = epoch0;
-    certify_result(*g, s, t, out);
-    out.seconds = seconds_since(t0);
-    return out;
-  }
-
-  const std::pair<vid_t, vid_t> key{s, t};
-  int epoch_races = 0;
-  for (;;) {
-    // Refreshed every iteration: an invalidation (generation) or a batch
-    // (snapshot + epoch) may have landed while this query waited coalesced
-    // or lost an epoch race.
-    gen = generation();
-    epoch0 = mutation_epoch();
-    g = active_graph();
-
-    if (auto snap = cache_.get_snapshot(s, t, gen)) {
-      if (PEEK_FAULT_FIRE("serve.snapshot.corrupt")) {
-        // Corruption probe: drop the hit, recompute below; the fresh
-        // snapshot replaces the doubted entry.
-        PEEK_COUNT_INC("serve.cache.corruption_drops");
-      } else if (serve_from_snapshot(*snap, k, out, cancel)) {
-        if (mutation_epoch() != epoch0 &&
-            cache_.get_snapshot(s, t, generation()) != snap) {
-          // A batch landed mid-serve AND swept this entry: the answer
-          // belongs to epoch0. Bound it or retry. (A surviving entry was
-          // restamped — the batch provably did not affect this pair, so
-          // the answer is fresh and falls through.)
-          if (stale_bound_since(epoch0, &out.staleness) &&
-              out.staleness.stale) {
-            out.snapshot_hit = true;
-            PEEK_COUNT_INC("serve.stale_answers");
-            PEEK_GAUGE_SET(
-                "serve.staleness.epochs_behind",
-                static_cast<std::int64_t>(out.staleness.epochs_behind));
-            break;
-          }
-          if (++epoch_races <= kMaxEpochRetries) {
-            out = ServeResult{};
-            continue;
-          }
-          out.status = {fault::Status::kOverloaded,
-                        "mutation storm outran the query"};
+    } else if (r.snap && serve_from_snapshot(*r.snap, k, out, cancel)) {
+      out.snapshot_hit = true;
+      p.snap = r.snap.get();
+      PEEK_COUNT_INC("serve.snapshot_hits");
+    } else if (r.stale.snap &&
+               serve_from_snapshot(*r.stale.snap, k, out, cancel)) {
+      // Bounded-staleness serving: the pair's snapshot was displaced by a
+      // reweight-affected batch and its repair is still in flight — answer
+      // from the pre-batch snapshot rather than block on a fresh compute.
+      out.snapshot_hit = true;
+      p = {r.stale.epoch, r.stale.epoch + 1, r.stale.bound, nullptr};
+    } else {
+      // A miss, or a cached snapshot whose budget is too small for K: the
+      // compute below replaces it with a wider one.
+      {
+        // Don't claim (or wait for) work with a tripped token.
+        fault::CancelPoll poll(cancel, /*stride=*/1);
+        if (poll.should_stop()) {
+          out.status.code = poll.why();
           break;
         }
-        out.snapshot_hit = true;
-        PEEK_COUNT_INC("serve.snapshot_hits");
-        break;
       }
-      // Budget too small for this K: recompute below with a wider bound
-      // (the new snapshot replaces the old entry).
-    }
 
-    // Bounded-staleness serving: the pair's snapshot was
-    // displaced by a reweight-only batch and its repair is still in flight —
-    // answer from the pre-mutation snapshot with an explicit staleness
-    // bound rather than blocking on a fresh compute. Entry, epoch and bound
-    // are read under one stale_mu_ hold (adopt_batch stores the epoch inside
-    // its stale_mu_ section), so the tuple is internally consistent.
-    {
-      std::shared_ptr<PrunedSnapshot> stale_snap;
-      Staleness st;
+      // Coalesce with an identical in-flight computation, or claim ownership
+      // of this (s, t).
+      std::shared_ptr<Inflight> inf;
+      bool owner = false;
       {
-        check::MutexLock slock(stale_mu_);
-        auto it = stale_snaps_.find(key);
-        if (it != stale_snaps_.end() && repaired_epoch() < mutation_epoch()) {
-          stale_snap = it->second.snap;
-          st.stale = true;
-          st.epoch = it->second.epoch;
-          st.epochs_behind = mutation_epoch() - it->second.epoch;
-          st.weight_bound = it->second.bound;
+        check::MutexLock lock(inflight_mu_);
+        auto it = inflight_.find(key);
+        if (it != inflight_.end()) {
+          inf = it->second;
+        } else {
+          inf = std::make_shared<Inflight>();
+          inf->k_budget = budget_for(k);
+          // Abortable by invalidate() without touching the caller's token.
+          inf->abort = cancel != nullptr ? fault::CancelToken::linked(*cancel)
+                                         : fault::CancelToken::cancellable();
+          inflight_[key] = inf;
+          owner = true;
         }
       }
-      if (stale_snap && serve_from_snapshot(*stale_snap, k, out, cancel)) {
-        out.snapshot_hit = true;
-        out.staleness = st;
-        PEEK_COUNT_INC("serve.stale_answers");
-        PEEK_GAUGE_SET("serve.staleness.epochs_behind",
-                       static_cast<std::int64_t>(st.epochs_behind));
-        break;
-      }
-    }
 
-    // Don't claim (or wait for) work with a tripped token.
-    {
-      fault::CancelPoll poll(cancel, /*stride=*/1);
-      if (poll.should_stop()) {
-        out.status.code = poll.why();
-        break;
-      }
-    }
-
-    // Coalesce with an identical in-flight computation, or claim ownership
-    // of this (s, t).
-    std::shared_ptr<Inflight> inf;
-    bool owner = false;
-    {
-      check::MutexLock lock(inflight_mu_);
-      auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        inf = it->second;
-      } else {
-        inf = std::make_shared<Inflight>();
-        inf->k_budget = budget_for(k);
-        // Abortable by invalidate() without touching the caller's token.
-        inf->abort = cancel != nullptr ? fault::CancelToken::linked(*cancel)
-                                       : fault::CancelToken::cancellable();
-        inflight_[key] = inf;
-        owner = true;
-      }
-    }
-
-    if (!owner) {
-      bool published = false;
-      bool retry = false;
-      // Copied out under the lock: the owner publishes snap and done
-      // together, and reading snap after the scope would be an unlocked
-      // access to guarded state.
-      std::shared_ptr<PrunedSnapshot> published_snap;
-      {
-        check::UniqueLock lock(inf->mu);
-        for (;;) {
-          if (inf->done) {
-            published = true;
-            published_snap = inf->snap;
-            break;
-          }
-          if (inf->invalidated) {
-            // The generation moved under this entry: the owner is being
-            // aborted, so retry against the new generation instead of
-            // waiting for (and serving) its doomed snapshot.
-            retry = true;
-            break;
-          }
-          if (cancel != nullptr) {
-            fault::CancelPoll poll(cancel, /*stride=*/1);
-            if (poll.should_stop()) {
-              out.status.code = poll.why();
+      if (!owner) {
+        bool published = false;
+        bool retry = false;
+        // Copied out under the lock: the owner publishes snap and done
+        // together, and reading snap after the scope would be an unlocked
+        // access to guarded state.
+        std::shared_ptr<PrunedSnapshot> published_snap;
+        {
+          check::UniqueLock lock(inf->mu);
+          for (;;) {
+            if (inf->done) {
+              published = true;
+              published_snap = inf->snap;
               break;
             }
-            // Bounded waits so a tripped deadline (or parent cancel) is
-            // noticed without the owner having to finish first.
-            if (auto dl = cancel->deadline()) {
-              inf->cv.wait_until(lock, *dl);
-            } else {
-              inf->cv.wait_for(lock, std::chrono::milliseconds(5));
+            if (inf->invalidated) {
+              // The generation moved under this entry: the owner is being
+              // aborted, so retry against the new generation instead of
+              // waiting for (and serving) its doomed snapshot.
+              retry = true;
+              break;
             }
-          } else {
-            inf->cv.wait(lock);
+            if (cancel != nullptr) {
+              fault::CancelPoll poll(cancel, /*stride=*/1);
+              if (poll.should_stop()) {
+                out.status.code = poll.why();
+                break;
+              }
+              // Bounded waits so a tripped deadline (or parent cancel) is
+              // noticed without the owner having to finish first.
+              if (auto dl = cancel->deadline()) {
+                inf->cv.wait_until(lock, *dl);
+              } else {
+                inf->cv.wait_for(lock, std::chrono::milliseconds(5));
+              }
+            } else {
+              inf->cv.wait(lock);
+            }
           }
         }
+        if (retry) {
+          PEEK_COUNT_INC("serve.coalesce_retries");
+          continue;
+        }
+        if (!published) break;  // cancelled while coalesced; status set
+        out.coalesced = true;
+        PEEK_COUNT_INC("serve.coalesced_waits");
+        // A dynamic graph's engine revalidates through the cache: the next
+        // pass reads the owner's entry, or what a batch left of it. A static
+        // engine serves the owner's snapshot, exact for epoch 0.
+        if (dyn_graph_ != nullptr || !published_snap ||
+            !serve_from_snapshot(*published_snap, k, out, cancel)) {
+          continue;  // or the owner failed, or its budget was too small
+        }
+      } else {
+        PEEK_COUNT_INC("serve.snapshot_misses");
+        std::shared_ptr<PrunedSnapshot> snap;
+        try {
+          snap = compute_snapshot(r, s, t, inf->k_budget, out, &inf->abort);
+        } catch (const std::bad_alloc& e) {
+          // Real or injected allocation failure outside the hardened kernels
+          // (e.g. while copying a tree into the cache).
+          out.status = {fault::Status::kResourceExhausted, e.what()};
+        } catch (const std::exception& e) {
+          out.status = {fault::Status::kInternal, e.what()};
+        }
+        if (snap) {
+          serve_from_snapshot(*snap, k, out, cancel);
+          if (!publish_snapshot(s, t, snap, r.gen, r.epoch, out)) {
+            PEEK_COUNT_INC("serve.epoch_races");  // a batch landed mid-compute
+          }
+          p.snap = snap.get();
+        }
+        // Publish (null on failure: waiters retry on their own token) and
+        // always release the key — cancelled or not, no in-flight entry may
+        // leak.
+        {
+          check::MutexLock lock(inflight_mu_);
+          inflight_.erase(key);
+        }
+        bool was_invalidated = false;
+        {
+          check::MutexLock lock(inf->mu);
+          was_invalidated = inf->invalidated;
+          inf->snap = snap;
+          inf->done = true;
+        }
+        inf->cv.notify_all();
+        if (!snap) {
+          // invalidate() aborted this compute mid-flight: unless the
+          // caller's own token also tripped, retry against the new
+          // generation. Otherwise out.status says why it failed.
+          fault::CancelPoll poll(cancel, /*stride=*/1);
+          if (!was_invalidated || poll.should_stop()) break;
+          out = ServeResult{};
+          continue;
+        }
       }
-      if (retry) {
-        PEEK_COUNT_INC("serve.coalesce_retries");
-        continue;
-      }
-      if (!published) break;  // cancelled while coalesced; status already set
-      out.coalesced = true;
-      PEEK_COUNT_INC("serve.coalesced_waits");
-      // A dynamic graph's engine revalidates through the cache instead of
-      // serving the owner's direct reference — a batch may have swept the
-      // entry between the owner's publish and this wake-up, and the loop top
-      // re-checks freshness (cache hit, stale table, or recompute).
-      if (dyn_graph_ != nullptr) continue;
-      if (published_snap &&
-          serve_from_snapshot(*published_snap, k, out, cancel))
-        break;
-      continue;  // owner failed / was cancelled, or its budget was too small
     }
-
-    PEEK_COUNT_INC("serve.snapshot_misses");
-    std::shared_ptr<PrunedSnapshot> snap;
-    try {
-      snap = compute_snapshot(*g, s, t, inf->k_budget, gen, epoch0, out,
-                              &inf->abort);
-    } catch (const std::bad_alloc& e) {
-      // Real or injected allocation failure outside the hardened kernels
-      // (e.g. while copying a tree into the cache).
-      out.status = {fault::Status::kResourceExhausted, e.what()};
-    } catch (const std::exception& e) {
-      out.status = {fault::Status::kInternal, e.what()};
-    }
-    bool epoch_ok = true;
-    if (snap) {
-      serve_from_snapshot(*snap, k, out, cancel);
-      epoch_ok = publish_snapshot(s, t, snap, gen, epoch0, out);
-    }
-    // Publish (null on failure: waiters retry on their own token) and always
-    // release the key — cancelled or not, no in-flight entry may leak.
-    {
-      check::MutexLock lock(inflight_mu_);
-      inflight_.erase(key);
-    }
-    bool was_invalidated = false;
-    {
-      check::MutexLock lock(inf->mu);
-      was_invalidated = inf->invalidated;
-      inf->snap = snap;
-      inf->done = true;
-    }
-    inf->cv.notify_all();
-    if (!snap && was_invalidated) {
-      // invalidate() aborted this compute mid-flight. Unless the caller's
-      // own token also tripped, retry against the new generation.
-      fault::CancelPoll poll(cancel, /*stride=*/1);
-      if (!poll.should_stop()) {
-        out = ServeResult{};
-        continue;
-      }
-    }
-    if (!epoch_ok) {
-      // The compute raced a batch: the answer is exact for epoch0 but the
-      // engine has moved on. Serve it with an explicit bound when every
-      // intervening batch was reweight-only; otherwise recompute.
-      PEEK_COUNT_INC("serve.epoch_races");
-      if (stale_bound_since(epoch0, &out.staleness) && out.staleness.stale) {
-        PEEK_COUNT_INC("serve.stale_answers");
-        PEEK_GAUGE_SET("serve.staleness.epochs_behind",
-                       static_cast<std::int64_t>(out.staleness.epochs_behind));
-        break;
-      }
-      if (++epoch_races <= kMaxEpochRetries) {
-        out = ServeResult{};
-        continue;
-      }
+    if (label(out, s, t, p)) break;
+    if (++retries > kMaxEpochRetries) {
+      out.paths.clear();
       out.status = {fault::Status::kOverloaded,
                     "mutation storm outran the query"};
+      break;
     }
-    break;
+    out = ServeResult{};
   }
 
+  if (uncached) PEEK_COUNT_INC("serve.uncached_fallbacks");
   if (out.status.code == fault::Status::kDeadlineExceeded) {
     PEEK_COUNT_INC("serve.deadline_exceeded");
   }
-  // Content-epoch stamp (see Staleness::epoch): a fresh answer is exact for
-  // the loop's last validated epoch0 — cache hits were looked up at it, and
-  // computes passed the epoch0 publish guard. (A hit that survived a
-  // concurrent sweep is exact for a *newer* epoch too; claiming epoch0
-  // under-claims, which the fleet fence treats conservatively.)
-  if (!out.staleness.stale) out.staleness.epoch = epoch0;
   certify_result(*g, s, t, out);
   out.seconds = seconds_since(t0);
   return out;

@@ -30,9 +30,12 @@
 // provably-unaffected entries valid via per-artifact region stamps, queue
 // cone repairs of affected SSSP trees on a background thread
 // (dyn/repair.hpp), and park reweight-affected snapshots in a stale side
-// table that serves bounded-staleness answers while the repair is in flight
-// — every answer carries ServeResult::staleness (its content epoch, epochs
-// behind, and a conservative per-rank weight error bound).
+// table that serves bounded-staleness answers while the repair is in flight.
+// Each pass of a query reads the epoch, its graph and the cache entries it
+// serves from in one dyn_mu_ hold, so its answer is exact for a known epoch;
+// one label then turns that epoch into ServeResult::staleness (the content
+// epoch, epochs behind, and a per-rank weight error bound from the batch
+// log), or retries the pass.
 //
 // Degradation: with a zero cache budget every query runs plain peek_ksp;
 // artifacts larger than a cache shard are served but not retained.
@@ -45,7 +48,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -302,12 +304,41 @@ class QueryEngine {
     std::shared_ptr<PrunedSnapshot> snap PEEK_GUARDED_BY(mu);
   };
 
-  /// A snapshot displaced by a batch but admissible for bounded-stale
-  /// serving: every batch since `epoch` was reweight-only for this pair.
+  /// A snapshot displaced by a reweight-affected batch, admissible for
+  /// bounded-stale serving while the batch log can widen it to the current
+  /// epoch (adopt_batch drops it once it cannot).
   struct StaleEntry {
     std::shared_ptr<PrunedSnapshot> snap;
-    std::uint64_t epoch = 0;     // the epoch the content is exact for
-    weight_t bound = 0;          // cumulative per-rank weight error bound
+    std::uint64_t epoch = 0;  // the epoch the content is exact for
+    /// The pair test's bound for batch epoch + 1, which can be finer than
+    /// that batch's log record (a structural op that misses the pair).
+    weight_t bound = 0;
+  };
+
+  /// The one read: everything one pass of query() or serve_degraded() uses,
+  /// taken in one dyn_mu_ hold. adopt_batch swaps the graph, stores the
+  /// epoch and sweeps the cache in one hold too, so all of it is exact for
+  /// `epoch`.
+  struct Read {
+    std::uint64_t epoch = 0;
+    std::uint64_t gen = 0;
+    std::shared_ptr<const graph::CsrGraph> graph;  // the graph of `epoch`
+    std::shared_ptr<PrunedSnapshot> snap;          // the cached (s, t) entry
+    /// Read only when `snap` cannot serve K: the pair's stale-table entry
+    /// (while a repair is in flight) and the trees a miss prunes with.
+    StaleEntry stale;
+    std::shared_ptr<const sssp::SsspResult> fwd, rev;
+  };
+
+  /// What the one label needs to know about an answer: the epoch its paths
+  /// are exact for, the error bound already known through epoch `covered`
+  /// (a stale entry's pair test; 0 otherwise), and the snapshot it came
+  /// from, if that may still be the cached entry.
+  struct Provenance {
+    std::uint64_t epoch = 0;
+    std::uint64_t covered = 0;
+    weight_t bound = 0;
+    const PrunedSnapshot* snap = nullptr;
   };
 
   /// Pending background repair work, coalesced across batches: a second
@@ -322,32 +353,33 @@ class QueryEngine {
     std::vector<std::pair<ArtifactKind, vid_t>> keys;
   };
 
-  /// One adopted batch's impact summary, kept for bounding answers whose
-  /// compute raced a batch (see query()'s epoch-race retry).
-  struct BatchImpact {
-    std::uint64_t epoch = 0;
-    bool structural = false;
-    weight_t bound = 0;  // sum of |Δw| over applied reweights
-  };
-
   /// Shared body of the public constructors: `g` is the graph to serve
   /// (a non-owning alias of a static CSR, or a dynamic graph's snapshot,
   /// taken before warm restart reads it); `dg` is null for a static CSR.
   QueryEngine(std::shared_ptr<const graph::CsrGraph> g,
               const dyn::DynamicGraph* dg, const ServeOptions& opts);
 
-  /// The CSR to serve this query from: graph_, read under dyn_mu_.
+  /// graph_, read under dyn_mu_ (persistence; queries use read()).
   std::shared_ptr<const graph::CsrGraph> active_graph();
-  /// Full pipeline on a miss; fills the tree-hit flags of `out`. Returns
-  /// null with out.status set when the pipeline was cancelled or failed —
-  /// such partial artifacts are never cached.
-  std::shared_ptr<PrunedSnapshot> compute_snapshot(const graph::CsrGraph& g,
-                                                   vid_t s, vid_t t,
-                                                   int k_budget,
-                                                   std::uint64_t generation,
-                                                   std::uint64_t epoch0,
-                                                   ServeResult& out,
-                                                   const fault::CancelToken* cancel);
+  /// False, with out.status kInvalidArgument, unless 0 <= s, t < n, k > 0.
+  bool check_args(vid_t s, vid_t t, int k, ServeResult& out) const;
+  /// The one read for (s, t). `k` = 0 reads the cached snapshot only (the
+  /// degraded lookup); otherwise, when no cached snapshot's budget covers
+  /// `k`, also the stale entry and the trees.
+  Read read(vid_t s, vid_t t, int k);
+  /// The one label (DESIGN.md §15): stamps out.staleness for an answer with
+  /// provenance `p`. Fresh when the engine is still at p.epoch, or when
+  /// p.snap is still the cached (s, t) entry; else widened through the batch
+  /// log (serve.stale_answers). False when the log has no bound: the caller
+  /// retries, or drops a degraded answer.
+  bool label(ServeResult& out, vid_t s, vid_t t, const Provenance& p);
+  /// Full pipeline on a miss: prunes r.graph with the trees in `r`; fills
+  /// the tree-hit flags of `out`. Returns null with out.status set when the
+  /// pipeline was cancelled or failed — such partial artifacts are never
+  /// cached.
+  std::shared_ptr<PrunedSnapshot> compute_snapshot(
+      const Read& r, vid_t s, vid_t t, int k_budget, ServeResult& out,
+      const fault::CancelToken* cancel);
   /// Serves `k` paths out of `snap` (extending its stream if needed); false
   /// when the snapshot's budget is too small for `k` (caller recomputes).
   /// A tripped `cancel` returns true with the paths materialized so far and
@@ -368,9 +400,8 @@ class QueryEngine {
   /// files that pass checksums but fail semantic decode.
   void restore_from_dir();
   /// Shed-path degraded answer: cached already-produced paths only, no graph
-  /// work, stamped with their content epoch like any other answer. False
-  /// when nothing usable is cached, or a structural batch swept the entry
-  /// mid-lookup.
+  /// work, labelled like any other answer. False when nothing usable is
+  /// cached, or the label has no bound for it (dropped, never retried).
   bool serve_degraded(vid_t s, vid_t t, int k, ServeResult& out);
   /// ServeOptions::certify hook: validates a non-degraded kOk answer
   /// against `g` and downgrades it to kInternal on a failed certificate
@@ -402,30 +433,26 @@ class QueryEngine {
                         const std::shared_ptr<PrunedSnapshot>& snap,
                         std::uint64_t gen, std::uint64_t epoch0,
                         ServeResult& out);
-  /// Staleness of an answer computed at `epoch0` and served now: false when
-  /// any intervening batch was structural (the answer may be wrong in ways
-  /// no weight bound covers — recompute instead).
-  bool stale_bound_since(std::uint64_t epoch0, Staleness* out);
-
   const dyn::DynamicGraph* dyn_graph_ = nullptr;  // null for a static CSR
   dyn::DynamicGraph* mutable_dyn_ = nullptr;  // set by the mutable ctor
+  vid_t n_ = 0;  // vertex count: batches never change it
   check::Mutex dyn_mu_;
   /// The graph served at the current epoch: a non-owning alias of a static
   /// CSR (it never moves), or a dynamic graph's snapshot, swapped by
   /// adopt_batch.
   std::shared_ptr<const graph::CsrGraph> graph_ PEEK_GUARDED_BY(dyn_mu_);
-  /// Recent batch impacts, newest last (bounded; feeds stale_bound_since).
-  std::deque<BatchImpact> batch_history_ PEEK_GUARDED_BY(dyn_mu_);
+  /// Adopted batches, for label().
+  dyn::BatchLog batch_log_ PEEK_GUARDED_BY(dyn_mu_);
+  /// Reweight-displaced snapshots, served bounded-stale by read().
+  std::map<std::pair<vid_t, vid_t>, StaleEntry> stale_snaps_
+      PEEK_GUARDED_BY(dyn_mu_);
 
   /// Epoch counters (0 forever on a static engine). mutation_epoch_ is
-  /// stored inside note_batch's stale_mu_ section so a reader holding
-  /// stale_mu_ sees a side table consistent with the epoch it reads.
+  /// stored under dyn_mu_, so a reader holding it sees the graph, cache and
+  /// side table of the epoch it reads; a bare load is the label's freshness
+  /// check.
   std::atomic<std::uint64_t> mutation_epoch_{0};
   std::atomic<std::uint64_t> repaired_epoch_{0};
-
-  check::Mutex stale_mu_;
-  std::map<std::pair<vid_t, vid_t>, StaleEntry> stale_snaps_
-      PEEK_GUARDED_BY(stale_mu_);
 
   check::Mutex repair_mu_;
   check::CondVar repair_cv_;

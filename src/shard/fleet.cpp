@@ -261,8 +261,7 @@ dyn::AppliedBatch ShardFleet::apply_batch(const dyn::UpdateBatch& batch) {
   auto post = std::make_shared<const graph::CsrGraph>(
       dyn::patched_csr(*dyn_graph_, *fence_csr_, b));
   fence_csr_ = post;
-  fence_history_.push_back({b.epoch, b.structural(), b.weight_delta_sum()});
-  while (fence_history_.size() > 64) fence_history_.pop_front();
+  batch_log_.record(b);
   fence_epoch_.store(b.epoch, std::memory_order_release);
   PEEK_COUNT_INC("shard.batches");
   // Fan-out inside the fence lock: concurrent apply_batch calls would
@@ -306,24 +305,18 @@ void ShardFleet::deliver_batches() {
 
 bool ShardFleet::fence_result(serve::ServeResult& r, std::uint64_t eff,
                               std::uint64_t fence) {
-  check::MutexLock lock(fence_mu_);
-  // Coverage: the bounded history must contain every batch in (eff, fence]
-  // — epochs are dense, so it does iff the oldest record is <= eff + 1.
-  if (fence_history_.empty() || fence_history_.front().epoch > eff + 1) {
-    return false;
+  std::optional<weight_t> widen;
+  {
+    check::MutexLock lock(fence_mu_);
+    widen = batch_log_.bound(eff, fence);
   }
-  weight_t widen = 0;
-  for (const FenceRecord& fr : fence_history_) {
-    if (fr.epoch <= eff || fr.epoch > fence) continue;
-    if (fr.structural) return false;  // no weight bound covers topology
-    widen += fr.bound;
-  }
+  if (!widen) return false;
   // Reweight-only gap: extend the answer's staleness window to the fence.
   // A fresh answer (epochs_behind 0, bound 0) becomes a stale one; an
   // already-stale answer widens. `epoch` stays the content epoch.
   r.staleness.stale = true;
   r.staleness.epochs_behind += fence - eff;
-  r.staleness.weight_bound += widen;
+  r.staleness.weight_bound += *widen;
   PEEK_COUNT_INC("shard.stale_upgrades");
   return true;
 }

@@ -268,20 +268,12 @@ class ShardFleet {
   /// even under concurrent drainers (per-replica apply lock). A static
   /// fleet's queues stay empty.
   void deliver_pending(Replica& rep);
-  /// Epoch-fence reconciliation of a completed answer whose engine was
-  /// `eff` epochs into the fence's past: widens it into an explicitly-
-  /// bounded stale answer when every batch in (eff, fence] was reweight-only
-  /// (shard.stale_upgrades); false when one was structural or the bounded
-  /// history no longer covers the gap — the caller bounces the answer.
+  /// Epoch-fence reconciliation of a completed answer served at engine
+  /// epoch `eff`, behind the fence: widens it into an explicitly-bounded
+  /// stale answer through the batch log (shard.stale_upgrades); false when
+  /// the log has no bound for (eff, fence] — the caller bounces the answer.
   bool fence_result(serve::ServeResult& r, std::uint64_t eff,
                     std::uint64_t fence);
-
-  /// One applied batch's fleet-level impact record (feeds fence_result).
-  struct FenceRecord {
-    std::uint64_t epoch = 0;
-    bool structural = false;
-    weight_t bound = 0;  // sum of |Δw| over applied reweights
-  };
 
   const graph::CsrGraph* graph_;               // static mode; null when live
   dyn::DynamicGraph* dyn_graph_ = nullptr;     // live mode; null when static
@@ -291,14 +283,14 @@ class ShardFleet {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Fence state. apply_batch holds fence_mu_ across the graph mutation, the
-  /// epoch bump AND the per-replica fan-out, so pending queues receive
-  /// batches in fence-epoch order; fence_csr_ is the CSR at the fence (built
-  /// once per batch, shared with every replica, and the certification graph
-  /// for at-fence answers) — a non-owning alias of a static fleet's CSR,
-  /// which never moves.
+  /// epoch bump, the batch log record AND the per-replica fan-out, so
+  /// pending queues receive batches in fence-epoch order; fence_csr_ is the
+  /// CSR at the fence (built once per batch, shared with every replica, and
+  /// the certification graph for at-fence answers) — a non-owning alias of a
+  /// static fleet's CSR, which never moves.
   mutable check::Mutex fence_mu_;
   std::shared_ptr<const graph::CsrGraph> fence_csr_ PEEK_GUARDED_BY(fence_mu_);
-  std::deque<FenceRecord> fence_history_ PEEK_GUARDED_BY(fence_mu_);
+  dyn::BatchLog batch_log_ PEEK_GUARDED_BY(fence_mu_);
   std::atomic<std::uint64_t> fence_epoch_{0};
 
   // Shared ctor body of the two public constructors.

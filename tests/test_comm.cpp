@@ -107,26 +107,6 @@ TEST(Comm, Reductions) {
   });
 }
 
-TEST(Comm, Broadcast) {
-  run_ranks(3, [](Comm& c) {
-    std::vector<int> mine =
-        c.rank() == 1 ? std::vector<int>{4, 5, 6} : std::vector<int>{};
-    auto got = c.broadcast(mine, 1);
-    EXPECT_EQ(got, (std::vector<int>{4, 5, 6}));
-  });
-}
-
-TEST(Comm, AllToAll) {
-  run_ranks(3, [](Comm& c) {
-    // Rank r sends {r*10 + dest} to each dest.
-    std::vector<std::vector<int>> out(3);
-    for (int d = 0; d < 3; ++d) out[d] = {c.rank() * 10 + d};
-    auto in = c.all_to_all(out, 42);
-    for (int src = 0; src < 3; ++src)
-      EXPECT_EQ(in[src], (std::vector<int>{src * 10 + c.rank()}));
-  });
-}
-
 TEST(Comm, ExceptionPropagates) {
   EXPECT_THROW(run_ranks(2, [](Comm& c) {
                  if (c.rank() == 1) throw std::runtime_error("boom");

@@ -12,6 +12,8 @@
 //   - Every stale answer the engine serves carries a bound the true
 //     post-mutation answer respects, and a repair crash falls back to full
 //     recompute — never an unbounded-stale answer.
+//   - A batch (and its repair) landing between a query's read and its
+//     answer leaves the answer exact for the epoch it read.
 //
 // The injector and the metrics registry are process-global, so injector
 // tests read metrics as before/after deltas and disable injection on
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <random>
 #include <thread>
 #include <utility>
@@ -384,6 +387,48 @@ TEST(PairImpact, StructuralOpsForbidStaleness) {
   EXPECT_TRUE(pic.structural);
 }
 
+// -- The batch log ------------------------------------------------------------
+
+TEST(BatchLog, BoundsOnlyReweightOnlyRangesItStillHolds) {
+  // One applied op on edge (0, 1), stamped with `epoch`.
+  auto batch = [](std::uint64_t epoch, dyn::OpKind kind, weight_t old_w,
+                  weight_t new_w) {
+    dyn::AppliedBatch b;
+    b.epoch = epoch;
+    b.ops.push_back({{kind, 0, 1, new_w}, old_w, true});
+    return b;
+  };
+  dyn::BatchLog log;
+  log.record(batch(1, dyn::OpKind::kReweight, 1.0, 3.0));   // |Δw| 2
+  log.record(batch(2, dyn::OpKind::kReweight, 1.0, 1.5));   // |Δw| 0.5
+  log.record(batch(3, dyn::OpKind::kInsert, kInfDist, 0.5));  // structural
+  log.record(batch(4, dyn::OpKind::kReweight, 2.0, 1.0));   // |Δw| 1
+
+  // Reweight-only ranges sum their batches.
+  EXPECT_EQ(log.bound(0, 2), std::optional<weight_t>(2.5));
+  EXPECT_EQ(log.bound(1, 2), std::optional<weight_t>(0.5));
+  EXPECT_EQ(log.bound(3, 4), std::optional<weight_t>(1.0));
+  // An empty range costs nothing.
+  EXPECT_EQ(log.bound(2, 2), std::optional<weight_t>(0.0));
+  EXPECT_EQ(log.bound(0, 0), std::optional<weight_t>(0.0));
+  // A structural batch in range has no weight bound.
+  EXPECT_FALSE(log.bound(2, 3).has_value());
+  EXPECT_FALSE(log.bound(0, 4).has_value());
+  // Nor does a range the log never held, or a backwards one.
+  EXPECT_FALSE(log.bound(4, 5).has_value());
+  EXPECT_FALSE(log.bound(2, 1).has_value());
+
+  // Once kCapacity later batches are recorded, epoch 4 has left the log.
+  const auto last = static_cast<std::uint64_t>(4 + dyn::BatchLog::kCapacity);
+  for (std::uint64_t e = 5; e <= last; ++e)
+    log.record(batch(e, dyn::OpKind::kReweight, 1.0, 2.0));
+  EXPECT_FALSE(log.bound(3, 4).has_value());
+  EXPECT_FALSE(log.bound(3, last).has_value());
+  EXPECT_EQ(log.bound(4, last),
+            std::optional<weight_t>(
+                static_cast<weight_t>(dyn::BatchLog::kCapacity)));
+}
+
 // -- Engine: surgical invalidation and bounded-staleness serving -------------
 
 // Two disjoint diamonds: 0..3 and 4..7, two paths each.
@@ -491,6 +536,79 @@ TEST_F(LiveEngineTest, StaleAnswerCarriesSoundBound) {
   ASSERT_EQ(r2.status.code, fault::Status::kOk);
   EXPECT_FALSE(r2.staleness.stale);
   expect_paths_identical(r2.paths, now);
+}
+
+// Runs query (s, t, k) with a one-shot 300 ms stall right after its read,
+// and lands reweight(5, 7, 10) on the two diamonds — then, when `drain`, the
+// batch's repairs — while the query sits in that stall.
+serve::ServeResult query_across_a_batch(serve::QueryEngine& eng, vid_t s,
+                                        vid_t t, int k, bool drain) {
+  fault::InjectorConfig cfg;
+  cfg.enabled = true;
+  cfg.rate_permille = 1000;
+  cfg.stall = std::chrono::milliseconds(300);
+  cfg.site_filter = "serve.query.stall";
+  cfg.max_fires = 1;
+  fault::Injector::global().configure(cfg);
+
+  serve::ServeResult r;
+  std::thread q([&] { r = eng.query(s, t, k); });
+  // The site fires after the query's read, just before it sleeps.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fault::Injector::global().fired("serve.query.stall") == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(fault::Injector::global().fired("serve.query.stall"), 1);
+  eng.apply_batch(dyn::UpdateBatch{}.reweight(5, 7, 10.0));
+  if (drain) eng.drain_repairs();
+  q.join();
+  EXPECT_EQ(eng.mutation_epoch(), 1u);
+  return r;
+}
+
+// What such a query must return: epoch 0's exact answer, labelled stale
+// against epoch 1 with the batch's bound |10 - 1|.
+void expect_epoch0_answer(const serve::ServeResult& r,
+                          const graph::CsrGraph& g0, vid_t s, vid_t t, int k) {
+  ASSERT_EQ(r.status.code, fault::Status::kOk) << r.status.message;
+  EXPECT_TRUE(r.staleness.stale);
+  EXPECT_EQ(r.staleness.epoch, 0u);
+  EXPECT_EQ(r.staleness.epochs_behind, 1u);
+  EXPECT_DOUBLE_EQ(r.staleness.weight_bound, 9.0);
+  expect_paths_identical(r.paths, true_ksp(g0, s, t, k));
+}
+
+// A cold query computes on the graph it read, not the graph of the batch
+// that landed after its read.
+TEST_F(LiveEngineTest, BatchMidColdQueryServesTheEpochItRead) {
+  auto csr = two_diamonds();
+  dyn::DynamicGraph dg(csr);
+  serve::QueryEngine eng(dg);
+  expect_epoch0_answer(query_across_a_batch(eng, 4, 7, 2, /*drain=*/false),
+                       csr, 4, 7, 2);
+}
+
+// A miss prunes with the forward tree it read, even when a repair
+// re-publishes that tree for the next epoch while the query stalls.
+TEST_F(LiveEngineTest, RepairMidQueryLeavesTheTreesItRead) {
+  auto csr = two_diamonds();
+  dyn::DynamicGraph dg(csr);
+  serve::ServeOptions so;
+  so.k_budget_floor = 1;
+  serve::QueryEngine eng(dg, so);
+  // Warm-up: caches 4's forward tree, but no (4, 7) snapshot.
+  ASSERT_EQ(eng.query(4, 6, 1).status.code, fault::Status::kOk);
+
+  auto r = query_across_a_batch(eng, 4, 7, 1, /*drain=*/true);
+  EXPECT_TRUE(r.fwd_tree_hit);
+  // The repaired epoch-1 tree was in the cache before the query resumed.
+  EXPECT_EQ(eng.cache()
+                .epoch_of(serve::ArtifactKind::kForwardTree, 4, kNoVertex)
+                .value_or(99),
+            1u);
+  expect_epoch0_answer(r, csr, 4, 7, 1);
 }
 
 TEST_F(LiveEngineTest, RepairCrashFallsBackToFullRecompute) {
