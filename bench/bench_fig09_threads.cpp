@@ -1,7 +1,8 @@
 // Figure 9: shared-memory scalability — PeeK (K = 8) speedup over 1 thread
-// for 1..32 OpenMP threads on every benchmark graph. NOTE: this container
-// exposes a single core, so curves flatten here; all thread configurations
-// still execute the full parallel code path (see EXPERIMENTS.md).
+// for 1..32 OpenMP threads on every benchmark graph. NOTE: on a machine with
+// fewer hardware threads than the sweep, curves flatten past its thread
+// count; all thread configurations still execute the full parallel code
+// path (see EXPERIMENTS.md).
 #include <cstdlib>
 
 #include "bench_common.hpp"

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "parallel/parallel_for.hpp"
 #include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
@@ -39,10 +40,10 @@ BENCHMARK(BM_DijkstraEarlyExit);
 
 void BM_DeltaStepping(benchmark::State& state) {
   const auto& g = test_graph();
-  sssp::DeltaSteppingOptions opts;
-  opts.parallel = state.range(0) != 0;
+  // Arg(0): one worker; Arg(1): every hardware thread.
+  par::ThreadScope scope(state.range(0) == 0 ? 1 : par::max_threads());
   for (auto _ : state) {
-    auto r = sssp::delta_stepping(sssp::GraphView(g), 1, opts);
+    auto r = sssp::delta_stepping(sssp::GraphView(g), 1);
     benchmark::DoNotOptimize(r.dist.data());
   }
 }

@@ -74,7 +74,6 @@ PeekResult run_pipeline(const graph::CsrGraph& g, vid_t s, vid_t t,
   PruneOptions po;
   po.k = opts.k;
   po.parallel = opts.parallel;
-  po.delta = opts.delta;
   po.tight_edge_prune = opts.tight_edge_prune;
   po.cancel = opts.cancel;
   PruneResult pruned = k_upper_bound_prune(g, s, t, po);
@@ -214,7 +213,6 @@ PeekResult peek_ksp(const graph::CsrGraph& g, vid_t s, vid_t t,
   ksp::KspOptions ko;
   ko.k = opts.k;
   ko.parallel = opts.parallel;
-  ko.delta = opts.delta;
   ko.cancel = opts.cancel;
   return run_pipeline(g, s, t, opts,
                       [&ko](const sssp::BiView& view, vid_t s2, vid_t t2,

@@ -19,10 +19,10 @@ namespace peek::core {
 
 struct PeekOptions {
   int k = 8;
-  /// Parallel PeeK (§6): data-parallel pruning, embarrassingly parallel
-  /// compaction, task-parallel KSP.
+  /// Parallel PeeK (§6): data-parallel pruning (a Δ-stepping forward
+  /// SSSP), embarrassingly parallel compaction, task-parallel KSP (a round's
+  /// deviations run concurrently, each a serial Dijkstra).
   bool parallel = false;
-  weight_t delta = 0;  // Δ-stepping bucket width (<=0 auto)
 
   /// Compaction policy.
   enum class Compaction {

@@ -209,7 +209,6 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
       PEEK_COUNT_INC("prune.reused_trees");
     } else if (opts.parallel) {
       sssp::DeltaSteppingOptions ds;
-      ds.delta = opts.delta;
       ds.cancel = opts.cancel;
       r.from_source = sssp::delta_stepping(sssp::GraphView(g), s, ds);
     } else {

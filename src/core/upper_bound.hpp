@@ -27,11 +27,11 @@ using graph::CsrGraph;
 
 struct PruneOptions {
   int k = 8;
-  /// Data-parallel pruning (§6.1): Δ-stepping forward SSSP. On the
-  /// reference path (`reuse_to_target` set) also the parallel distance-sum,
-  /// sort and mark. The bounded reverse search is serial.
+  /// Data-parallel pruning (§6.1): Δ-stepping forward SSSP (auto bucket
+  /// width), the library's only shared-memory Δ-stepping. On the reference
+  /// path (`reuse_to_target` set) also the parallel distance-sum, sort and
+  /// mark. The bounded reverse search is serial.
   bool parallel = false;
-  weight_t delta = 0;  // Δ-stepping bucket width (<=0 auto)
   /// Extension beyond the paper's Algorithm 2 line 13 (`w(e) > b`): also
   /// prune edge (u,v) when spSrc[u] + w + spTgt[v] > b, which is sound by
   /// the same Lemma 4.1 argument and strictly stronger.

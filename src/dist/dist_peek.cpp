@@ -134,10 +134,8 @@ DistPeekResult dist_peek_ksp(Comm& comm, const graph::CsrGraph& g, vid_t s,
   // Stage 1: the forward distributed SSSP over the 1-D slices, gathered
   // into the full tree on every rank.
   const LocalGraph slice = make_local_graph(g, comm.rank(), comm.size());
-  DistSsspOptions so;
-  so.delta = opts.delta;
-  so.retry = opts.retry;
-  const DistSsspResult local = dist_delta_stepping(comm, slice, s, so);
+  const DistSsspResult local =
+      dist_delta_stepping(comm, slice, s, {.retry = opts.retry});
   result.edges_relaxed = comm.allreduce_sum(local.edges_relaxed);
   SsspResult fwd;
   gather_global(comm, slice, local, fwd.dist, fwd.parent);
@@ -219,7 +217,7 @@ DistPeekResult dist_peek_ksp(Comm& comm, const graph::CsrGraph& g, vid_t s,
   sssp::DijkstraWorkspace ws;
   ksp::detail::OptYenCounts counts;
   const ksp::detail::DeviationSolver solver =
-      ksp::detail::optyen_solver(view.fwd, rtree, ct, {}, counts);
+      ksp::detail::optyen_solver(view.fwd, rtree, ct, counts);
 
   int cand_tag = 0;  // mailboxes are drained by now; fresh tag space is safe
 

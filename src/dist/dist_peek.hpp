@@ -13,7 +13,6 @@ namespace peek::dist {
 
 struct DistPeekOptions {
   int k = 8;
-  weight_t delta = 0;
   /// Backoff schedule for the SSSP request exchanges and the candidate
   /// exchange of the distributed KSP stage (dist/retry.hpp).
   RetryOptions retry;

@@ -26,15 +26,12 @@ DistSsspResult dist_delta_stepping(Comm& comm, const LocalGraph& lg,
   r.parent.assign(static_cast<size_t>(lg.owned()), kNoVertex);
 
   // Agree on Δ: global max edge weight / 8.
-  weight_t delta = opts.delta;
-  if (delta <= 0) {
-    weight_t local_max = 0;
-    for (weight_t w : lg.wgt) local_max = std::max(local_max, w);
-    const weight_t global_max = comm.allreduce(
-        local_max, [](weight_t a, weight_t b) { return std::max(a, b); },
-        weight_t{0});
-    delta = std::max<weight_t>(global_max / 8.0, 1e-4);
-  }
+  weight_t local_max = 0;
+  for (weight_t w : lg.wgt) local_max = std::max(local_max, w);
+  const weight_t global_max = comm.allreduce(
+      local_max, [](weight_t a, weight_t b) { return std::max(a, b); },
+      weight_t{0});
+  const weight_t delta = std::max<weight_t>(global_max / 8.0, 1e-4);
   auto bucket_of = [delta](weight_t d) {
     return static_cast<std::int64_t>(d / delta);
   };

@@ -10,7 +10,6 @@
 namespace peek::dist {
 
 struct DistSsspOptions {
-  weight_t delta = 0;  // <= 0: auto (max local weight reduced over ranks / 8)
   /// Backoff schedule for the relaxation-request exchanges (dist/retry.hpp).
   RetryOptions retry;
 };

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "ksp/yen_engine.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 
 namespace peek::ksp {
@@ -55,14 +54,7 @@ KspResult nc_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) {
   int sssp_calls = 0;
   int shortcuts = 0;
 
-  sssp::SsspResult rtree;
-  if (opts.parallel) {
-    sssp::DeltaSteppingOptions ds;
-    ds.delta = opts.delta;
-    rtree = sssp::delta_stepping(g.rev, t, ds);
-  } else {
-    rtree = sssp::dijkstra(g.rev, t);
-  }
+  const sssp::SsspResult rtree = sssp::dijkstra(g.rev, t);
   sssp_calls++;
 
   ColorState colors(rtree, g.fwd.num_vertices());
@@ -86,12 +78,9 @@ KspResult nc_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) {
       shortcuts++;
       return detail::tree_suffix(g.fwd, rtree, v, exit, t, nullptr);
     }
-    // Yellow next-hop: restricted SSSP on the non-red subgraph. NC runs its
-    // deviations serially (the on_path_accepted hook disables the engine's
-    // outer level), so a parallel SSSP parallelizes its own loops.
+    // Yellow next-hop: restricted SSSP on the non-red subgraph.
     sssp_calls++;
-    return detail::restricted_suffix(g.fwd, t, ctx, opts,
-                                     /*inner_parallel=*/true);
+    return detail::restricted_suffix(g.fwd, t, ctx);
   };
 
   KspResult result = detail::run_yen_engine(g.fwd, s, t, opts, solver, hooks);

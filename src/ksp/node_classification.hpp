@@ -5,10 +5,11 @@
 // a restricted SSSP. The color maintenance cost — every new red vertex
 // re-colors its whole tree subtree — is exactly the overhead the paper blames
 // for NC's poor parallel scaling (§7.2 observation iii), and it is faithfully
-// reproduced here: NC's outer deviation loop stays serial because colors are
-// shared mutable state — contrast the DeviationEngine in ksp/yen_engine,
-// which runs the same loop's deviation SSSPs concurrently for Yen/OptYen
-// (via par::parallel_for_dynamic) when `KspOptions::parallel` is set.
+// reproduced here: NC's deviation loop stays serial because colors are
+// shared mutable state, so nc_ksp ignores `KspOptions::parallel` — contrast
+// the DeviationEngine in ksp/yen_engine, which runs the same loop's
+// deviation SSSPs concurrently for Yen/OptYen (via
+// par::parallel_for_dynamic) when it is set.
 #pragma once
 
 #include "ksp/path_set.hpp"

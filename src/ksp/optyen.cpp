@@ -27,16 +27,15 @@ sssp::Path optyen_tree_shortcut(const sssp::GraphView& fwd,
 
 std::function<sssp::Path(const DeviationContext&)> optyen_solver(
     const sssp::GraphView& fwd, const sssp::SsspResult& rtree, vid_t t,
-    const KspOptions& opts, OptYenCounts& counts) {
-  return [fwd, &rtree, t, opts, &counts](const DeviationContext& ctx) {
+    OptYenCounts& counts) {
+  return [fwd, &rtree, t, &counts](const DeviationContext& ctx) {
     sssp::Path fast = optyen_tree_shortcut(fwd, rtree, t, ctx);
     if (!fast.empty()) {
       counts.tree_shortcuts.fetch_add(1, std::memory_order_relaxed);
       return fast;
     }
     counts.sssp_calls.fetch_add(1, std::memory_order_relaxed);
-    return restricted_suffix(fwd, t, ctx, opts,
-                             /*inner_parallel=*/ctx.position == 0);
+    return restricted_suffix(fwd, t, ctx);
   };
 }
 

@@ -44,11 +44,10 @@ struct OptYenCounts {
 
 /// OptYen's deviation solver over `fwd` with the reverse tree `rtree` (the
 /// tree and the arrays behind `fwd` must outlive it): the tree shortcut when
-/// it applies, else restricted_suffix with opts.parallel / opts.delta.
-/// Thread-safe; counts into `counts`.
+/// it applies, else restricted_suffix. Thread-safe; counts into `counts`.
 std::function<sssp::Path(const DeviationContext&)> optyen_solver(
     const sssp::GraphView& fwd, const sssp::SsspResult& rtree, vid_t t,
-    const KspOptions& opts, OptYenCounts& counts);
+    OptYenCounts& counts);
 
 }  // namespace detail
 

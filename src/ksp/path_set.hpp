@@ -79,13 +79,12 @@ struct KspResult {
 
 struct KspOptions {
   int k = 8;
-  /// Two-level parallel strategy (§6.1), implemented by the deviation
-  /// engine in ksp/yen_engine.cpp: concurrent deviation SSSPs (the outer
-  /// level) + Δ-stepping inside each (the inner). Serial algorithms ignore
-  /// it.
+  /// The outer level of §6.1's two-level parallel strategy, run by the
+  /// deviation engine (ksp/yen_engine): a round's deviations run
+  /// concurrently, each a serial Dijkstra in its worker's workspace. The
+  /// paper's inner level (Δ-stepping inside each deviation) is not kept
+  /// (DESIGN.md §3). Serial algorithms, NC included, ignore it.
   bool parallel = false;
-  /// Δ-stepping bucket width when parallel (<=0 auto).
-  weight_t delta = 0;
   /// Cooperative cancellation: checked at round boundaries and threaded into
   /// every deviation SSSP. Null = never cancelled.
   const fault::CancelToken* cancel = nullptr;

@@ -160,8 +160,7 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
       const auto banned = banned_edges_at(g.fwd, accepted, top.prefix, i);
       result.stats.sssp_calls++;
       const sssp::Path suffix = detail::restricted_suffix(
-          g.fwd, t, {v, mask.data(), banned, i, repair_ws, nullptr},
-          KspOptions{});
+          g.fwd, t, {v, mask.data(), banned, i, repair_ws, nullptr});
       for (int j = 0; j < i; ++j)
         mask[top.prefix[static_cast<size_t>(j)]] = 0;
       if (suffix.empty()) continue;

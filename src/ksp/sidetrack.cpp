@@ -138,7 +138,7 @@ KspResult sb_ksp(const BiView& g, vid_t s, vid_t t,
       return suffix;
     }
     run.stats.sssp_calls++;
-    return detail::restricted_suffix(g.fwd, t, ctx, KspOptions{});
+    return detail::restricted_suffix(g.fwd, t, ctx);
   };
   detail::DeviationEngine engine(g.fwd, s, t, solver, /*parallel=*/false,
                                  hooks);

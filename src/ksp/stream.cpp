@@ -2,13 +2,12 @@
 
 #include "ksp/yen_engine.hpp"
 #include "obs/metrics.hpp"
-#include "sssp/delta_stepping.hpp"
 
 namespace peek::ksp {
 
 KspStream::KspStream(const sssp::BiView& g, vid_t s, vid_t t,
                      const KspOptions& opts)
-    : g_(g), s_(s), t_(t), opts_(opts) {
+    : g_(g), s_(s), t_(t), parallel_(opts.parallel) {
   const vid_t n = g_.fwd.num_vertices();
   if (s_ < 0 || s_ >= n || t_ < 0 || t_ >= n) exhausted_ = true;
 }
@@ -30,16 +29,9 @@ bool KspStream::prime(const fault::CancelToken* cancel) {
     PEEK_TIMER_SCOPE("ksp.reverse_tree");
     priming_sssps_++;
     PEEK_COUNT_INC("ksp.deviation_sssp_calls");
-    if (opts_.parallel) {
-      sssp::DeltaSteppingOptions ds;
-      ds.delta = opts_.delta;
-      ds.cancel = cancel;
-      rtree_ = sssp::delta_stepping(g_.rev, t_, ds);
-    } else {
-      sssp::DijkstraOptions dj;
-      dj.cancel = cancel;
-      rtree_ = sssp::dijkstra(g_.rev, t_, dj);
-    }
+    sssp::DijkstraOptions dj;
+    dj.cancel = cancel;
+    rtree_ = sssp::dijkstra(g_.rev, t_, dj);
     stats_.sssp_calls = priming_sssps_;
     // A partial reverse tree overestimates distances, which would poison
     // both the shortcut bound and its feasibility walk: stay unprimed so a
@@ -52,8 +44,7 @@ bool KspStream::prime(const fault::CancelToken* cancel) {
   }
   engine_ = std::make_unique<detail::DeviationEngine>(
       g_.fwd, s_, t_,
-      detail::optyen_solver(g_.fwd, rtree_, t_, opts_, counts_),
-      opts_.parallel);
+      detail::optyen_solver(g_.fwd, rtree_, t_, counts_), parallel_);
   engine_->start(sssp::path_from_reverse_parents(rtree_, s_, t_));
   return true;
 }

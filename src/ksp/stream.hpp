@@ -27,9 +27,10 @@ class DeviationEngine;  // ksp/yen_engine.hpp
 class KspStream {
  public:
   /// The BiView must outlive the stream. Prefer the CsrGraph overload unless
-  /// streaming over a compacted view. Of `opts` only `parallel` and `delta`
-  /// apply (the two-level strategy of optyen_ksp); K and cancellation are
-  /// per next() call.
+  /// streaming over a compacted view. Of `opts` only `parallel` applies (a
+  /// round's deviations run concurrently, as in optyen_ksp; the reverse tree
+  /// is a serial Dijkstra either way); K and cancellation are per next()
+  /// call.
   KspStream(const sssp::BiView& g, vid_t s, vid_t t,
             const KspOptions& opts = {});
   KspStream(const graph::CsrGraph& g, vid_t s, vid_t t);
@@ -80,7 +81,7 @@ class KspStream {
 
   sssp::BiView g_;
   vid_t s_, t_;
-  KspOptions opts_;
+  bool parallel_;
   sssp::SsspResult rtree_;
   bool have_rtree_ = false;
   detail::OptYenCounts counts_;

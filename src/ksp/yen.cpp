@@ -10,10 +10,7 @@ KspResult yen_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) {
   std::atomic<int> sssp_calls{0};
   detail::DeviationSolver solver = [&](const detail::DeviationContext& ctx) {
     sssp_calls.fetch_add(1, std::memory_order_relaxed);
-    // Inner-level parallelism only at position 0 (the first path is the
-    // only job then); elsewhere the outer level fans deviations out.
-    return detail::restricted_suffix(g.fwd, t, ctx, opts,
-                                     /*inner_parallel=*/ctx.position == 0);
+    return detail::restricted_suffix(g.fwd, t, ctx);
   };
   KspResult result = detail::run_yen_engine(g.fwd, s, t, opts, solver);
   result.stats.sssp_calls = sssp_calls.load();

@@ -11,8 +11,8 @@ namespace peek::ksp {
 using sssp::BiView;
 
 /// K shortest simple paths s -> t. Uses only the forward view.
-/// opts.parallel enables the two-level strategy: concurrent deviations
-/// (outer) over Δ-stepping SSSPs (inner).
+/// opts.parallel runs each round's deviations concurrently (§6.1's outer
+/// level), each a serial Dijkstra; the paths equal the serial run's.
 KspResult yen_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts);
 
 /// Convenience overload over a plain graph.

@@ -5,7 +5,6 @@
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/parallel_for.hpp"
-#include "sssp/delta_stepping.hpp"
 
 namespace peek::ksp::detail {
 
@@ -69,24 +68,11 @@ sssp::Path tree_suffix(const GraphView& fwd, const sssp::SsspResult& rtree,
 }
 
 sssp::Path restricted_suffix(const GraphView& fwd, vid_t t,
-                             const DeviationContext& ctx,
-                             const KspOptions& opts, bool inner_parallel) {
+                             const DeviationContext& ctx) {
   const vid_t v = ctx.deviation_vertex;
-  const sssp::Bans bans{ctx.banned_vertices, &ctx.banned_edges};
-  if (opts.parallel) {
-    sssp::DeltaSteppingOptions ds;
-    ds.target = t;
-    ds.bans = bans;
-    ds.delta = opts.delta;
-    ds.parallel = inner_parallel;
-    ds.cancel = ctx.cancel;
-    const sssp::SsspResult r = sssp::delta_stepping(fwd, v, ds);
-    if (r.status != fault::Status::kOk) return {};
-    return sssp::path_from_parents(r, v, t);
-  }
   sssp::DijkstraOptions dj;
   dj.target = t;
-  dj.bans = bans;
+  dj.bans = {ctx.banned_vertices, &ctx.banned_edges};
   dj.cancel = ctx.cancel;
   const sssp::SsspResult& r = sssp::dijkstra(fwd, v, dj, ctx.workspace);
   if (r.status != fault::Status::kOk) return {};

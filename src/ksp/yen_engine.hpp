@@ -74,15 +74,13 @@ sssp::Path tree_suffix(const GraphView& fwd, const sssp::SsspResult& rtree,
 
 /// The restricted search every deviation solver falls back to (Algorithm 1
 /// line 10): the shortest ctx.deviation_vertex -> t path under the
-/// context's bans. Serial options run Dijkstra in ctx.workspace; parallel
-/// ones run Δ-stepping of width opts.delta, whose own loops are parallel
-/// only when `inner_parallel` (the outer level already spreads deviations
-/// over the workers). Empty when t is unreachable or ctx.cancel cut the
-/// search short — a cut-short tree may overestimate, so it is never used.
+/// context's bans, a Dijkstra with target early exit in ctx.workspace. It
+/// is serial in every mode: parallelism is the engine's outer level, which
+/// runs a round's deviations concurrently. Empty when t is unreachable or
+/// ctx.cancel cut the search short — a cut-short tree may overestimate, so
+/// it is never used.
 sssp::Path restricted_suffix(const GraphView& fwd, vid_t t,
-                             const DeviationContext& ctx,
-                             const KspOptions& opts,
-                             bool inner_parallel = false);
+                             const DeviationContext& ctx);
 
 /// The per-position step (Algorithm 1 lines 5-11): bans P[0..i-1] and the
 /// edges accepted paths sharing P[0..i] leave by, asks `solver` for the

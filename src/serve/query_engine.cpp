@@ -7,7 +7,6 @@
 #include "ksp/stream.hpp"
 #include "obs/metrics.hpp"
 #include "recover/artifacts.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 
 namespace peek::serve {
@@ -624,7 +623,6 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
   core::PruneOptions po;
   po.k = k_budget;
   po.parallel = opts_.peek.parallel;
-  po.delta = opts_.peek.delta;
   po.tight_edge_prune = opts_.peek.tight_edge_prune;
   po.reuse_from_source = fwd.get();
   po.cancel = cancel;
@@ -645,17 +643,9 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
   if (!rev) {
     // The prune's reverse tree covers only about its kept set; the
     // live-mutation pair tests and cone repair need the full tree to t.
-    sssp::SsspResult tree;
-    if (opts_.peek.parallel) {
-      sssp::DeltaSteppingOptions ds;
-      ds.delta = opts_.peek.delta;
-      ds.cancel = cancel;
-      tree = sssp::reverse_delta_stepping(g, t, ds);
-    } else {
-      sssp::DijkstraOptions dj;
-      dj.cancel = cancel;
-      tree = sssp::reverse_dijkstra(g, t, dj);
-    }
+    sssp::DijkstraOptions dj;
+    dj.cancel = cancel;
+    sssp::SsspResult tree = sssp::reverse_dijkstra(g, t, dj);
     if (tree.status != fault::Status::kOk) {
       out.status = {tree.status, "reverse tree aborted"};
       return nullptr;

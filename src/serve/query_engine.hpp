@@ -69,8 +69,10 @@ namespace peek::serve {
 
 struct ServeOptions {
   /// Base pipeline configuration for cache misses. `k` and `compaction` are
-  /// managed per query by the engine (see header comment); the other fields
-  /// (parallel, delta, alpha, tight_edge_prune) apply as in core::peek_ksp.
+  /// managed per query by the engine (see header comment); `parallel` makes
+  /// a miss's prune (Δ-stepping forward SSSP) and regeneration parallel, and
+  /// alpha and tight_edge_prune apply as in core::peek_ksp. The full reverse
+  /// tree a miss caches and the served KSP streams are serial either way.
   core::PeekOptions peek;
   ArtifactCache::Options cache;
   /// A miss for K prunes with max(K, k_budget_floor) rounded up to a power

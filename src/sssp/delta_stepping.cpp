@@ -36,8 +36,7 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
   SsspResult r;
   r.dist.assign(static_cast<size_t>(n), kInfDist);
   r.parent.assign(static_cast<size_t>(n), kNoVertex);
-  if (source < 0 || source >= n) return r;
-  if (!view.vertex_alive(source) || opts.bans.vertex_banned(source)) return r;
+  if (source < 0 || source >= n || !view.vertex_alive(source)) return r;
 
   const weight_t delta = opts.delta > 0 ? opts.delta : auto_delta(view);
 
@@ -63,21 +62,19 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
   auto relax_edges = [&](const std::vector<vid_t>& frontier, bool light,
                          std::vector<vid_t>& out) {
     // Per-thread request buffers avoid contention on `out`.
-    const int nt = opts.parallel ? par::max_threads() : 1;
-    std::vector<std::vector<vid_t>> local(static_cast<size_t>(nt));
-    auto relax_vertex = [&](vid_t u) {
+    std::vector<std::vector<vid_t>> local(
+        static_cast<size_t>(par::max_threads()));
+    par::parallel_for_dynamic(size_t{0}, frontier.size(), [&](size_t i) {
+      const vid_t u = frontier[i];
       const weight_t du = dist[u].load(std::memory_order_relaxed);
-      // In serial mode thread_id() may still be nonzero (this SSSP can run
-      // inside an outer parallel region); always use slot 0 then.
-      std::vector<vid_t>& mine =
-          local[opts.parallel ? static_cast<size_t>(par::thread_id()) : 0];
+      std::vector<vid_t>& mine = local[static_cast<size_t>(par::thread_id())];
       std::int64_t relaxed = 0, improved = 0;
       for (eid_t e = view.edge_begin(u); e < view.edge_end(u); ++e) {
-        if (!view.edge_alive(e) || opts.bans.edge_banned(e)) continue;
+        if (!view.edge_alive(e)) continue;
         const weight_t w = view.edge_weight(e);
         if (light != (w <= delta)) continue;
         const vid_t v = view.edge_target(e);
-        if (!view.vertex_alive(v) || opts.bans.vertex_banned(v)) continue;
+        if (!view.vertex_alive(v)) continue;
         relaxed++;
         if (atomic_min(dist[v], du + w)) {
           improved++;
@@ -86,13 +83,7 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
       }
       PEEK_COUNT_ADD("sssp.delta.relaxed_edges", relaxed);
       PEEK_COUNT_ADD("sssp.delta.improved", improved);
-    };
-    if (opts.parallel) {
-      par::parallel_for_dynamic(size_t{0}, frontier.size(),
-                                [&](size_t i) { relax_vertex(frontier[i]); });
-    } else {
-      for (const vid_t u : frontier) relax_vertex(u);
-    }
+    });
     for (auto& buf : local) out.insert(out.end(), buf.begin(), buf.end());
   };
 
@@ -100,11 +91,6 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
   fault::CancelPoll poll(opts.cancel, /*stride=*/16);
   for (size_t bi = 0; bi < buckets.size() && r.status == fault::Status::kOk;
        ++bi) {
-    // Early exit: every future settle is >= bi*delta.
-    if (opts.target != kNoVertex &&
-        dist[opts.target].load(std::memory_order_relaxed) <=
-            static_cast<weight_t>(bi) * delta)
-      break;
     std::vector<vid_t> settled;  // every vertex processed from bucket bi
     std::vector<vid_t> current;
     current.swap(buckets[bi]);
@@ -152,14 +138,13 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
   // Parent reconstruction: one deterministic O(m) sweep. For every alive edge
   // u->v that is tight (dist[u] + w == dist[v]) keep the smallest such u.
   for (vid_t u = 0; u < n; ++u) {
-    if (!view.vertex_alive(u) || opts.bans.vertex_banned(u)) continue;
+    if (!view.vertex_alive(u)) continue;
     const weight_t du = r.dist[u];
     if (du == kInfDist) continue;
     for (eid_t e = view.edge_begin(u); e < view.edge_end(u); ++e) {
-      if (!view.edge_alive(e) || opts.bans.edge_banned(e)) continue;
+      if (!view.edge_alive(e)) continue;
       const vid_t v = view.edge_target(e);
-      if (v == source) continue;
-      if (!view.vertex_alive(v) || opts.bans.vertex_banned(v)) continue;
+      if (v == source || !view.vertex_alive(v)) continue;
       if (du + view.edge_weight(e) == r.dist[v] &&
           (r.parent[v] == kNoVertex || u < r.parent[v]))
         r.parent[v] = u;

@@ -1,7 +1,10 @@
-// Δ-stepping (Meyer & Sanders 2003): the parallel SSSP used throughout PeeK
-// (§6.2). Vertices are grouped into distance buckets of width Δ; each bucket
+// Δ-stepping (Meyer & Sanders 2003): the data-parallel SSSP of the paper's
+// §6.2. Vertices are grouped into distance buckets of width Δ; each bucket
 // is relaxed in parallel (light edges iteratively, heavy edges once), giving
-// data parallelism instead of Dijkstra's one-vertex-at-a-time order.
+// data parallelism instead of Dijkstra's one-vertex-at-a-time order. In this
+// library it runs only the parallel prune's forward SSSP
+// (core/upper_bound); every other search, deviation SSSPs included, runs on
+// the one Dijkstra core (sssp/dijkstra).
 #pragma once
 
 #include "sssp/dijkstra.hpp"
@@ -13,17 +16,14 @@ struct DeltaSteppingOptions {
   /// below, which approximates the average-weight heuristic of the paper's
   /// implementations).
   weight_t delta = 0;
-  vid_t target = kNoVertex;  // optional early exit once the bucket front
-                             // exceeds dist[target]
-  Bans bans;
-  bool parallel = true;  // false = exact same algorithm, serial loops
   /// Cooperative cancellation, polled at bucket/phase boundaries (the
   /// fork/join grain — never inside a parallel region). Null = never.
   const fault::CancelToken* cancel = nullptr;
 };
 
-/// SSSP from `source` over `view`. Distances match Dijkstra bit-for-bit on
-/// the same view; parents form a valid shortest-path tree.
+/// SSSP from `source` over `view`, on par::max_threads() workers. Distances
+/// match Dijkstra bit-for-bit on the same view; parents form a valid
+/// shortest-path tree (under ties, not necessarily Dijkstra's).
 SsspResult delta_stepping(const GraphView& view, vid_t source,
                           const DeltaSteppingOptions& opts = {});
 

@@ -59,37 +59,6 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{500, 6, false, 0},
                       SweepParam{500, 7, true, 0.5}));
 
-TEST(DeltaStepping, SerialFlagGivesSameAnswer) {
-  auto g = test::random_graph(300, 2400, 9);
-  DeltaSteppingOptions par_opts;
-  DeltaSteppingOptions ser_opts;
-  ser_opts.parallel = false;
-  expect_same_distances(delta_stepping(GraphView(g), 0, par_opts),
-                        delta_stepping(GraphView(g), 0, ser_opts));
-}
-
-TEST(DeltaStepping, RespectsBans) {
-  auto g = graph::from_edges(4, {{0, 1, 1.0}, {1, 3, 1.0}, {0, 2, 2.0},
-                                 {2, 3, 2.0}});
-  std::vector<std::uint8_t> banned(4, 0);
-  banned[1] = 1;
-  DeltaSteppingOptions opts;
-  opts.bans.vertices = banned.data();
-  auto r = delta_stepping(GraphView(g), 0, opts);
-  EXPECT_DOUBLE_EQ(r.dist[3], 4.0);
-  EXPECT_EQ(r.dist[1], kInfDist);
-  EXPECT_EQ(r.parent[3], 2);
-}
-
-TEST(DeltaStepping, EarlyExitTargetSettled) {
-  auto g = graph::grid(15, 15, {graph::WeightKind::kUniform01, 4});
-  DeltaSteppingOptions opts;
-  opts.target = 224;
-  auto early = delta_stepping(GraphView(g), 0, opts);
-  auto full = dijkstra(GraphView(g), 0);
-  EXPECT_NEAR(early.dist[224], full.dist[224], 1e-9);
-}
-
 TEST(DeltaStepping, ParentsFormTree) {
   auto g = test::random_graph(300, 2000, 13);
   auto r = delta_stepping(GraphView(g), 0);

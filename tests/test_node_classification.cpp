@@ -44,8 +44,8 @@ TEST(NodeClassification, UnreachableEmpty) {
 }
 
 TEST(NodeClassification, ParallelInnerMatchesSerial) {
-  // NC's outer loop stays serial (shared colors) but the inner SSSP may use
-  // parallel Δ-stepping; results must be identical.
+  // NC's deviation loop stays serial (shared colors), so the parallel flag
+  // changes nothing; results must be identical.
   auto g = test::random_graph(80, 640, 123);
   KspOptions par = k_opts(8);
   par.parallel = true;

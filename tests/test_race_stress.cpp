@@ -154,9 +154,7 @@ TEST(RaceStressDeltaStepping, ConcurrentParallelRunsMatchDijkstra) {
   run_threads([&](int w) {
     const auto src = static_cast<vid_t>(w * 17 % g.num_vertices());
     for (int rep = 0; rep < 3; ++rep) {
-      sssp::DeltaSteppingOptions opts;
-      opts.parallel = true;
-      const auto got = sssp::delta_stepping(view, src, opts);
+      const auto got = sssp::delta_stepping(view, src);
       const auto& ref = want[static_cast<size_t>(w)];
       for (vid_t v = 0; v < g.num_vertices(); ++v) {
         if (ref.dist[v] == kInfDist) {

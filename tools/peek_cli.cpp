@@ -98,7 +98,8 @@ void usage() {
       "\n"
       "algorithm:\n"
       "  --algo {peek|yen|nc|optyen|sb|sbstar|pnc|pncstar}  (default peek)\n"
-      "  --parallel                 two-level parallel execution\n"
+      "  --parallel                 parallel prune (delta-stepping) and\n"
+      "                             concurrent deviation searches\n"
       "  --alpha A                  adaptive compaction threshold (peek)\n"
       "  --stats                    print graph statistics and exit\n"
       "\n"
