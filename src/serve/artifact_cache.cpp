@@ -163,6 +163,18 @@ ArtifactCache::SweepStats ArtifactCache::sweep(
   return stats;
 }
 
+std::shared_ptr<PrunedSnapshot> ArtifactCache::peek_snapshot(
+    vid_t s, vid_t t, std::uint64_t generation) const {
+  const Key k{ArtifactKind::kSnapshot, s, t};
+  const Shard& sh = *shards_[KeyHash{}(k) & shard_mask_];
+  check::MutexLock lock(sh.mu);
+  auto it = sh.index.find(k);
+  if (it == sh.index.end() || it->second->generation != generation) {
+    return nullptr;
+  }
+  return std::static_pointer_cast<PrunedSnapshot>(it->second->value);
+}
+
 std::optional<std::uint64_t> ArtifactCache::epoch_of(ArtifactKind kind,
                                                      vid_t a, vid_t b) const {
   const Key k{kind, a, b};

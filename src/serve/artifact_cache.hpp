@@ -134,6 +134,10 @@ class ArtifactCache {
                                                std::uint64_t generation);
   bool put_snapshot(vid_t s, vid_t t, std::shared_ptr<PrunedSnapshot> snap,
                     std::uint64_t generation, std::uint64_t epoch = 0);
+  /// get_snapshot without its side effects: touches neither LRU order nor
+  /// the hit/miss counters, and leaves a stale-generation entry in place.
+  std::shared_ptr<PrunedSnapshot> peek_snapshot(vid_t s, vid_t t,
+                                                std::uint64_t generation) const;
 
   /// Drops every entry (eager invalidation; generation bumps make this
   /// optional).

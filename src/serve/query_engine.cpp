@@ -759,6 +759,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
   const bool uncached = cache_.byte_budget() == 0;
   const std::pair<vid_t, vid_t> key{s, t};
   std::shared_ptr<const graph::CsrGraph> g;  // the last pass's graph
+  bool reread = false;  // a pass started over for a snapshot it just missed
   for (int retries = 0;;) {
     // One pass: one read, one answer, one label. A pass that waited on a
     // coalesced owner, lost its compute to invalidate(), or got no bound
@@ -803,15 +804,23 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
       }
 
       // Coalesce with an identical in-flight computation, or claim ownership
-      // of this (s, t).
+      // of this (s, t). An owner publishes its snapshot before it erases its
+      // entry, so with no entry left the snapshot may have landed after this
+      // pass's read: once per query, such a pass starts over and hits
+      // instead of computing it again.
       std::shared_ptr<Inflight> inf;
       bool owner = false;
+      bool published_since_read = false;
       {
         check::MutexLock lock(inflight_mu_);
         auto it = inflight_.find(key);
         if (it != inflight_.end()) {
           inf = it->second;
-        } else {
+        } else if (!reread) {
+          const auto snap = cache_.peek_snapshot(s, t, r.gen);
+          published_since_read = snap != nullptr && snap->k_budget >= k;
+        }
+        if (!inf && !published_since_read) {
           inf = std::make_shared<Inflight>();
           inf->k_budget = budget_for(k);
           // Abortable by invalidate() without touching the caller's token.
@@ -820,6 +829,10 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
           inflight_[key] = inf;
           owner = true;
         }
+      }
+      if (published_since_read) {
+        reread = true;
+        continue;
       }
 
       if (!owner) {

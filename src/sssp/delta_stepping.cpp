@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -12,21 +14,35 @@ namespace peek::sssp {
 
 namespace {
 
-/// Atomically lowers `slot` to `val` if smaller. Returns true if it won.
-bool atomic_min(std::atomic<weight_t>& slot, weight_t val) {
-  weight_t cur = slot.load(std::memory_order_relaxed);
-  while (val < cur) {
-    if (slot.compare_exchange_weak(cur, val, std::memory_order_relaxed))
-      return true;
-  }
-  return false;
-}
+/// A worker keeps draining its own bin of the current bucket while that bin
+/// holds fewer entries than this (bucket fusion: no barrier per small
+/// bucket); a larger bin goes to the shared frontier of the next round.
+/// GraphIt's threshold.
+constexpr size_t kFuseLimit = 1000;
+/// Frontier entries one claim takes.
+constexpr size_t kClaimChunk = 64;
+constexpr size_t kNoBucket = std::numeric_limits<size_t>::max();
 
-weight_t auto_delta(const GraphView& view) {
-  const weight_t max_w = view.max_edge_weight();
+weight_t auto_delta(weight_t max_w) {
   if (max_w <= 0) return 1.0;
   return std::max<weight_t>(max_w / 8.0, 1e-4);
 }
+
+/// One worker's share of a round's frontier: read by every worker, claimed
+/// in chunks through `cursor`.
+struct alignas(64) Share {
+  std::vector<vid_t> entries;
+  alignas(64) std::atomic<size_t> cursor{0};
+};
+
+/// State only its own worker touches inside a round.
+struct alignas(64) Worker {
+  std::vector<std::vector<vid_t>> bins;  // bins[b]: pushed into bucket b
+  std::vector<vid_t> draining;           // the current bin, while fused
+  size_t first = kNoBucket;              // least non-empty bin after a round
+  std::int64_t expanded = 0, relaxed = 0, improved = 0;
+  weight_t max_w = 0;
+};
 
 }  // namespace
 
@@ -38,118 +54,163 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
   r.parent.assign(static_cast<size_t>(n), kNoVertex);
   if (source < 0 || source >= n || !view.vertex_alive(source)) return r;
 
-  const weight_t delta = opts.delta > 0 ? opts.delta : auto_delta(view);
+  const int nt = std::max(1, par::max_threads());
+  std::vector<Worker> workers(static_cast<size_t>(nt));
+  std::vector<Share> shares(static_cast<size_t>(nt));
+  weight_t* const dist = r.dist.data();
 
-  std::vector<std::atomic<weight_t>> dist(static_cast<size_t>(n));
-  for (vid_t v = 0; v < n; ++v)
-    dist[v].store(kInfDist, std::memory_order_relaxed);
-  dist[source].store(0, std::memory_order_relaxed);
-
-  // Buckets hold candidate vertices; membership is validated lazily against
-  // the distance array (a vertex may appear in several buckets; only the one
-  // matching its current distance processes it).
-  std::vector<std::vector<vid_t>> buckets;
-  auto bucket_of = [delta](weight_t d) {
-    return static_cast<size_t>(d / delta);
-  };
-  auto push_bucket = [&buckets, bucket_of](vid_t v, weight_t d) {
-    const size_t b = bucket_of(d);
-    if (b >= buckets.size()) buckets.resize(b + 1);
-    buckets[b].push_back(v);
-  };
-  push_bucket(source, 0);
-
-  auto relax_edges = [&](const std::vector<vid_t>& frontier, bool light,
-                         std::vector<vid_t>& out) {
-    // Per-thread request buffers avoid contention on `out`.
-    std::vector<std::vector<vid_t>> local(
-        static_cast<size_t>(par::max_threads()));
-    par::parallel_for_dynamic(size_t{0}, frontier.size(), [&](size_t i) {
-      const vid_t u = frontier[i];
-      const weight_t du = dist[u].load(std::memory_order_relaxed);
-      std::vector<vid_t>& mine = local[static_cast<size_t>(par::thread_id())];
-      std::int64_t relaxed = 0, improved = 0;
-      for (eid_t e = view.edge_begin(u); e < view.edge_end(u); ++e) {
-        if (!view.edge_alive(e)) continue;
-        const weight_t w = view.edge_weight(e);
-        if (light != (w <= delta)) continue;
-        const vid_t v = view.edge_target(e);
-        if (!view.vertex_alive(v)) continue;
-        relaxed++;
-        if (atomic_min(dist[v], du + w)) {
-          improved++;
-          mine.push_back(v);
+  // The automatic Δ's max alive weight: one parallel pass, a maximum per
+  // worker.
+  const bool find_delta = !(opts.delta > 0);
+  if (find_delta) {
+    par::parallel_for_dynamic(vid_t{0}, n, [&](vid_t v) {
+      if (!view.vertex_alive(v)) return;
+      Worker& me = workers[static_cast<size_t>(par::thread_id())];
+      for (eid_t e = view.edge_begin(v); e < view.edge_end(v); ++e) {
+        if (view.edge_alive(e)) {
+          me.max_w = std::max(me.max_w, view.edge_weight(e));
         }
       }
-      PEEK_COUNT_ADD("sssp.delta.relaxed_edges", relaxed);
-      PEEK_COUNT_ADD("sssp.delta.improved", improved);
-    });
-    for (auto& buf : local) out.insert(out.end(), buf.begin(), buf.end());
+    }, /*chunk=*/1024);
+  }
+  weight_t max_w = 0;
+  for (const Worker& w : workers) max_w = std::max(max_w, w.max_w);
+  const weight_t delta = find_delta ? auto_delta(max_w) : opts.delta;
+
+  auto push = [delta](Worker& me, vid_t v, weight_t d) {
+    const auto b = static_cast<size_t>(d / delta);
+    if (b >= me.bins.size()) me.bins.resize(b + 1);
+    me.bins[b].push_back(v);
+  };
+  // Relaxes every out-edge of u in one pass, unless u is claimed at its
+  // current distance already. The claim is the distance's sign bit (-0.0
+  // for the source): the worker whose CAS negates the distance expands u,
+  // and lowering a distance stores it positive again, so a vertex is
+  // expanded once per distance value and a duplicate bin entry costs a load.
+  auto expand = [&](Worker& me, vid_t u) {
+    std::atomic_ref<weight_t> claim(dist[u]);
+    weight_t du = claim.load(std::memory_order_relaxed);
+    do {
+      if (std::signbit(du)) return;
+    } while (!claim.compare_exchange_weak(du, -du, std::memory_order_relaxed));
+    ++me.expanded;
+    const eid_t end = view.edge_end(u);
+    for (eid_t e = view.edge_begin(u); e < end; ++e) {
+      if (!view.edge_alive(e)) continue;
+      const vid_t v = view.edge_target(e);
+      if (!view.vertex_alive(v)) continue;
+      ++me.relaxed;
+      const weight_t nd = du + view.edge_weight(e);
+      std::atomic_ref<weight_t> dv(dist[v]);
+      weight_t old = dv.load(std::memory_order_relaxed);
+      while (nd < std::fabs(old)) {
+        if (dv.compare_exchange_weak(old, nd, std::memory_order_relaxed)) {
+          ++me.improved;
+          push(me, v, nd);
+          break;
+        }
+      }
+    }
+  };
+  // One round of bucket `cur`: the shared frontier (own share first), then
+  // this worker's own bin of `cur` while it stays small.
+  auto round = [&](int w, size_t cur) {
+    Worker& me = workers[static_cast<size_t>(w)];
+    for (int i = 0; i < nt; ++i) {
+      Share& sh = shares[static_cast<size_t>((w + i) % nt)];
+      const vid_t* entries = sh.entries.data();
+      const size_t size = sh.entries.size();
+      for (size_t lo = sh.cursor.fetch_add(kClaimChunk,
+                                           std::memory_order_relaxed);
+           lo < size;
+           lo = sh.cursor.fetch_add(kClaimChunk, std::memory_order_relaxed)) {
+        const size_t hi = std::min(lo + kClaimChunk, size);
+        for (size_t j = lo; j < hi; ++j) expand(me, entries[j]);
+      }
+    }
+    while (cur < me.bins.size() && !me.bins[cur].empty() &&
+           me.bins[cur].size() < kFuseLimit) {
+      me.draining.swap(me.bins[cur]);
+      for (vid_t v : me.draining) expand(me, v);
+      me.draining.clear();
+    }
+    me.first = kNoBucket;
+    for (size_t b = cur; b < me.bins.size(); ++b) {
+      if (!me.bins[b].empty()) {
+        me.first = b;
+        break;
+      }
+    }
   };
 
   PEEK_COUNT_INC("sssp.delta.runs");
+  dist[source] = 0;
+  push(workers[0], source, 0);
+  std::int64_t buckets = 0, rounds = 0;
   fault::CancelPoll poll(opts.cancel, /*stride=*/16);
-  for (size_t bi = 0; bi < buckets.size() && r.status == fault::Status::kOk;
-       ++bi) {
-    std::vector<vid_t> settled;  // every vertex processed from bucket bi
-    std::vector<vid_t> current;
-    current.swap(buckets[bi]);
-    if (!current.empty()) PEEK_COUNT_INC("sssp.delta.buckets");
-    while (!current.empty()) {
-      if (poll.should_stop()) {
-        r.status = poll.why();
-        break;
-      }
-      PEEK_COUNT_INC("sssp.delta.light_phases");
-      // Keep only vertices whose distance still maps to this bucket.
-      std::vector<vid_t> frontier;
-      frontier.reserve(current.size());
-      for (vid_t v : current) {
-        const weight_t d = dist[v].load(std::memory_order_relaxed);
-        if (d != kInfDist && bucket_of(d) == bi) frontier.push_back(v);
-      }
-      if (frontier.empty()) break;
-      settled.insert(settled.end(), frontier.begin(), frontier.end());
-      std::vector<vid_t> updated;
-      relax_edges(frontier, /*light=*/true, updated);
-      current.clear();
-      for (vid_t v : updated) {
-        const weight_t d = dist[v].load(std::memory_order_relaxed);
-        if (bucket_of(d) == bi)
-          current.push_back(v);  // re-relax within this bucket
-        else
-          push_bucket(v, d);
-      }
-      // `buckets` may have grown; re-check index validity is implicit since
-      // we only touch bucket bi here.
+  for (size_t cur = 0; cur != kNoBucket;) {
+    if (poll.should_stop()) {
+      r.status = poll.why();
+      break;
     }
-    // Heavy edges once per settled vertex.
-    PEEK_COUNT_ADD("sssp.delta.settled", settled.size());
-    std::vector<vid_t> updated;
-    relax_edges(settled, /*light=*/false, updated);
-    for (vid_t v : updated)
-      push_bucket(v, dist[v].load(std::memory_order_relaxed));
+    // Every worker's bin of `cur` becomes its share of this round.
+    for (int w = 0; w < nt; ++w) {
+      Worker& wk = workers[static_cast<size_t>(w)];
+      Share& sh = shares[static_cast<size_t>(w)];
+      sh.entries.clear();
+      if (cur < wk.bins.size()) sh.entries.swap(wk.bins[cur]);
+      sh.cursor.store(0, std::memory_order_relaxed);
+    }
+    par::parallel_for(0, nt, [&](int w) { round(w, cur); });
+    ++rounds;
+    size_t next = kNoBucket;
+    for (const Worker& wk : workers) next = std::min(next, wk.first);
+    if (next != cur) {
+      ++buckets;
+      // Bucket `cur` is done: free what its bins kept.
+      for (Worker& wk : workers) {
+        if (cur < wk.bins.size()) std::vector<vid_t>().swap(wk.bins[cur]);
+      }
+    }
+    cur = next;
   }
+  std::int64_t expanded = 0, relaxed = 0, improved = 0;
+  for (const Worker& wk : workers) {
+    expanded += wk.expanded;
+    relaxed += wk.relaxed;
+    improved += wk.improved;
+  }
+  PEEK_COUNT_ADD("sssp.delta.buckets", buckets);
+  PEEK_COUNT_ADD("sssp.delta.rounds", rounds);
+  PEEK_COUNT_ADD("sssp.delta.settled", expanded);
+  PEEK_COUNT_ADD("sssp.delta.relaxed_edges", relaxed);
+  PEEK_COUNT_ADD("sssp.delta.improved", improved);
 
-  for (vid_t v = 0; v < n; ++v)
-    r.dist[v] = dist[v].load(std::memory_order_relaxed);
-  if (r.status != fault::Status::kOk) return r;  // partial: skip the O(m) sweep
-
-  // Parent reconstruction: one deterministic O(m) sweep. For every alive edge
-  // u->v that is tight (dist[u] + w == dist[v]) keep the smallest such u.
-  for (vid_t u = 0; u < n; ++u) {
-    if (!view.vertex_alive(u)) continue;
-    const weight_t du = r.dist[u];
-    if (du == kInfDist) continue;
+  // One parallel sweep drops the claims. Unless cancelled (a partial tree
+  // keeps no parents), it also picks parents: for every tight alive edge
+  // u->v (dist[u] + w == dist[v]) the smallest such u, whatever order the
+  // workers find them in.
+  const bool finished = r.status == fault::Status::kOk;
+  vid_t* const parent = r.parent.data();
+  par::parallel_for_dynamic(vid_t{0}, n, [&](vid_t u) {
+    std::atomic_ref<weight_t> du_ref(dist[u]);
+    const weight_t du = std::fabs(du_ref.load(std::memory_order_relaxed));
+    du_ref.store(du, std::memory_order_relaxed);
+    if (!finished || du == kInfDist || !view.vertex_alive(u)) return;
     for (eid_t e = view.edge_begin(u); e < view.edge_end(u); ++e) {
       if (!view.edge_alive(e)) continue;
       const vid_t v = view.edge_target(e);
       if (v == source || !view.vertex_alive(v)) continue;
-      if (du + view.edge_weight(e) == r.dist[v] &&
-          (r.parent[v] == kNoVertex || u < r.parent[v]))
-        r.parent[v] = u;
+      const weight_t dv = std::fabs(
+          std::atomic_ref<weight_t>(dist[v]).load(std::memory_order_relaxed));
+      if (du + view.edge_weight(e) != dv) continue;
+      std::atomic_ref<vid_t> pv(parent[v]);
+      vid_t cur = pv.load(std::memory_order_relaxed);
+      while ((cur == kNoVertex || u < cur) &&
+             !pv.compare_exchange_weak(cur, u, std::memory_order_relaxed)) {
+      }
     }
-  }
+  }, /*chunk=*/1024);
   return r;
 }
 

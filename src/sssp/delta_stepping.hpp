@@ -1,10 +1,15 @@
 // Δ-stepping (Meyer & Sanders 2003): the data-parallel SSSP of the paper's
-// §6.2. Vertices are grouped into distance buckets of width Δ; each bucket
-// is relaxed in parallel (light edges iteratively, heavy edges once), giving
-// data parallelism instead of Dijkstra's one-vertex-at-a-time order. In this
-// library it runs only the parallel prune's forward SSSP
-// (core/upper_bound); every other search, deviation SSSPs included, runs on
-// the one Dijkstra core (sssp/dijkstra).
+// §6.2. Vertices are grouped into distance buckets of width Δ and the least
+// non-empty bucket is expanded in parallel rounds instead of Dijkstra's one
+// vertex at a time. Each round, workers claim chunks of the bucket's shared
+// frontier and relax every out-edge of an expanded vertex in one pass,
+// pushing improvements into per-worker bins; a worker then drains its own
+// bin of the same bucket while that bin stays small (bucket fusion, Zhang et
+// al., "Optimizing Ordered Graph Algorithms with GraphIt", CGO 2020), so
+// small buckets cost no extra round. A vertex is expanded at most once per
+// distance value. In this library it runs only the parallel prune's forward
+// SSSP (core/upper_bound); every other search, deviation SSSPs included,
+// runs on the one Dijkstra core (sssp/dijkstra).
 #pragma once
 
 #include "sssp/dijkstra.hpp"
@@ -16,14 +21,17 @@ struct DeltaSteppingOptions {
   /// below, which approximates the average-weight heuristic of the paper's
   /// implementations).
   weight_t delta = 0;
-  /// Cooperative cancellation, polled at bucket/phase boundaries (the
-  /// fork/join grain — never inside a parallel region). Null = never.
+  /// Cooperative cancellation, polled between rounds (the fork/join grain —
+  /// never inside a parallel region). Null = never.
   const fault::CancelToken* cancel = nullptr;
 };
 
 /// SSSP from `source` over `view`, on par::max_threads() workers. Distances
-/// match Dijkstra bit-for-bit on the same view; parents form a valid
-/// shortest-path tree (under ties, not necessarily Dijkstra's).
+/// match Dijkstra bit-for-bit on the same view at every worker count. Each
+/// parent is the smallest alive in-neighbour u with dist[u] + w == dist[v]
+/// (under ties, not necessarily Dijkstra's), so parents do not depend on
+/// the worker count either. A cancelled run returns its distances so far
+/// and no parents.
 SsspResult delta_stepping(const GraphView& view, vid_t source,
                           const DeltaSteppingOptions& opts = {});
 

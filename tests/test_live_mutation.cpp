@@ -611,6 +611,47 @@ TEST_F(LiveEngineTest, RepairMidQueryLeavesTheTreesItRead) {
   expect_epoch0_answer(r, csr, 4, 7, 1);
 }
 
+// A query that missed, and whose twin computed and published the same
+// (s, t) snapshot while it stalled, answers from that snapshot: the owner
+// publishes before it releases its in-flight entry, so finding no entry
+// sends the stalled query back to the cache instead of into a second
+// compute.
+TEST_F(LiveEngineTest, MissStalledPastTwinsPublishHitsItsSnapshot) {
+  auto csr = two_diamonds();
+  serve::QueryEngine eng(csr);
+  fault::InjectorConfig cfg;
+  cfg.enabled = true;
+  cfg.rate_permille = 1000;
+  cfg.stall = std::chrono::milliseconds(300);
+  cfg.site_filter = "serve.query.stall";
+  cfg.max_fires = 1;
+  fault::Injector::global().configure(cfg);
+  const std::int64_t misses_before = metric("serve.snapshot_misses");
+
+  serve::ServeResult b;
+  std::thread q([&] { b = eng.query(4, 7, 2); });
+  // The site fires after b's read (a miss), just before it sleeps.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fault::Injector::global().fired("serve.query.stall") == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fault::Injector::global().fired("serve.query.stall"), 1);
+  const serve::ServeResult a = eng.query(4, 7, 2);  // computes and publishes
+  q.join();
+
+  ASSERT_EQ(a.status.code, fault::Status::kOk) << a.status.message;
+  ASSERT_EQ(b.status.code, fault::Status::kOk) << b.status.message;
+  EXPECT_FALSE(a.snapshot_hit);
+  EXPECT_TRUE(b.snapshot_hit);
+  expect_paths_identical(b.paths, a.paths);
+  expect_paths_identical(b.paths, true_ksp(csr, 4, 7, 2));
+  if (obs::kEnabled) {
+    EXPECT_EQ(metric("serve.snapshot_misses") - misses_before, 1);
+  }
+}
+
 TEST_F(LiveEngineTest, RepairCrashFallsBackToFullRecompute) {
   auto csr = two_diamonds();
   dyn::DynamicGraph dg(csr);

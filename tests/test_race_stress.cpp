@@ -145,23 +145,26 @@ TEST(RaceStressDeltaStepping, ConcurrentParallelRunsMatchDijkstra) {
   g.warm_reverse();
   const sssp::GraphView view(g);
 
-  // Reference distances for the sources each thread will use.
+  // Reference distances and parents (the smallest tight in-neighbour) for
+  // the sources each thread will use.
   std::vector<sssp::SsspResult> want(kThreads);
-  for (int w = 0; w < kThreads; ++w)
-    want[static_cast<size_t>(w)] =
-        sssp::dijkstra(view, static_cast<vid_t>(w * 17 % g.num_vertices()));
+  std::vector<std::vector<vid_t>> want_parent(kThreads);
+  for (int w = 0; w < kThreads; ++w) {
+    const auto src = static_cast<vid_t>(w * 17 % g.num_vertices());
+    want[static_cast<size_t>(w)] = sssp::dijkstra(view, src);
+    want_parent[static_cast<size_t>(w)] =
+        test::smallest_tight_parents(view, want[static_cast<size_t>(w)], src);
+  }
 
   run_threads([&](int w) {
     const auto src = static_cast<vid_t>(w * 17 % g.num_vertices());
     for (int rep = 0; rep < 3; ++rep) {
       const auto got = sssp::delta_stepping(view, src);
       const auto& ref = want[static_cast<size_t>(w)];
+      const auto& ref_parent = want_parent[static_cast<size_t>(w)];
       for (vid_t v = 0; v < g.num_vertices(); ++v) {
-        if (ref.dist[v] == kInfDist) {
-          ASSERT_EQ(got.dist[v], kInfDist) << "v=" << v;
-        } else {
-          ASSERT_NEAR(got.dist[v], ref.dist[v], 1e-9) << "v=" << v;
-        }
+        ASSERT_EQ(got.dist[v], ref.dist[v]) << "v=" << v;
+        ASSERT_EQ(got.parent[v], ref_parent[v]) << "v=" << v;
       }
     }
   });

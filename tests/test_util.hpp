@@ -13,6 +13,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "ksp/path_set.hpp"
+#include "sssp/dijkstra.hpp"
 #include "sssp/path.hpp"
 
 namespace peek::test {
@@ -129,6 +130,29 @@ inline void expect_same_distances(const std::vector<sssp::Path>& a,
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i)
     EXPECT_NEAR(a[i].dist, b[i].dist, 1e-9) << "position " << i;
+}
+
+/// The parent rule sssp::delta_stepping promises on the distances `ref`:
+/// the smallest alive in-neighbour u of v with dist[u] + w(u, v) == dist[v]
+/// (kNoVertex for the source and for unreachable vertices).
+inline std::vector<vid_t> smallest_tight_parents(const sssp::GraphView& view,
+                                                 const sssp::SsspResult& ref,
+                                                 vid_t source) {
+  std::vector<vid_t> want(ref.dist.size(), kNoVertex);
+  for (vid_t u = 0; u < view.num_vertices(); ++u) {
+    if (!view.vertex_alive(u) || ref.dist[u] == kInfDist) continue;
+    for (eid_t e = view.edge_begin(u); e < view.edge_end(u); ++e) {
+      const vid_t v = view.edge_target(e);
+      if (!view.edge_alive(e) || v == source || !view.vertex_alive(v)) {
+        continue;
+      }
+      if (ref.dist[u] + view.edge_weight(e) == ref.dist[v] &&
+          (want[v] == kNoVertex || u < want[v])) {
+        want[v] = u;
+      }
+    }
+  }
+  return want;
 }
 
 }  // namespace peek::test
