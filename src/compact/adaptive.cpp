@@ -34,29 +34,46 @@ Strategy choose_strategy(eid_t m_remaining, eid_t m_original, double alpha) {
   return s;
 }
 
-eid_t count_remaining_edges(const GraphView& view,
-                            const std::uint8_t* vertex_keep,
-                            const EdgeKeep& keep, bool parallel) {
-  PEEK_TIMER_SCOPE("compact.count_remaining");
-  auto vertex_kept = [&](vid_t v) {
-    return view.vertex_alive(v) && (!vertex_keep || vertex_keep[v]);
-  };
+namespace {
+
+eid_t count_remaining_impl(const GraphView& view,
+                           const std::uint8_t* vertex_keep,
+                           std::span<const vid_t> kept, const EdgeKeep& keep,
+                           bool parallel) {
   std::atomic<eid_t> total{0};
-  auto body = [&](vid_t v) {
-    if (!vertex_kept(v)) return;
+  auto body = [&](size_t i) {
+    const vid_t v = kept[i];
     eid_t local = 0;
     for (eid_t e = view.edge_begin(v); e < view.edge_end(v); ++e) {
       if (!view.edge_alive(e)) continue;
       const vid_t w = view.edge_target(e);
-      if (!vertex_kept(w)) continue;
+      if (!view.vertex_alive(w) || (vertex_keep && !vertex_keep[w])) continue;
       if (keep && !keep(v, w, view.edge_weight(e))) continue;
       local++;
     }
     total.fetch_add(local, std::memory_order_relaxed);
   };
-  if (parallel) par::parallel_for_dynamic(vid_t{0}, view.num_vertices(), body);
-  else for (vid_t v = 0; v < view.num_vertices(); ++v) body(v);
+  if (parallel) par::parallel_for_dynamic(size_t{0}, kept.size(), body);
+  else for (size_t i = 0; i < kept.size(); ++i) body(i);
   return total.load();
+}
+
+}  // namespace
+
+eid_t count_remaining_edges(const GraphView& view,
+                            const std::uint8_t* vertex_keep,
+                            std::span<const vid_t> kept, const EdgeKeep& keep,
+                            bool parallel) {
+  PEEK_TIMER_SCOPE("compact.count_remaining");
+  return count_remaining_impl(view, vertex_keep, kept, keep, parallel);
+}
+
+eid_t count_remaining_edges(const GraphView& view,
+                            const std::uint8_t* vertex_keep,
+                            const EdgeKeep& keep, bool parallel) {
+  PEEK_TIMER_SCOPE("compact.count_remaining");
+  return count_remaining_impl(view, vertex_keep,
+                              kept_vertices(view, vertex_keep), keep, parallel);
 }
 
 CompactionResult adaptive_compact(MutableCsr& g, eid_t m_original,
@@ -64,13 +81,14 @@ CompactionResult adaptive_compact(MutableCsr& g, eid_t m_original,
                                   const EdgeKeep& keep,
                                   const AdaptiveOptions& opts) {
   CompactionResult result;
+  const std::vector<vid_t> kept = kept_vertices(g.view(), vertex_keep);
   const eid_t m_r =
-      count_remaining_edges(g.view(), vertex_keep, keep, opts.parallel);
+      count_remaining_edges(g.view(), vertex_keep, kept, keep, opts.parallel);
   result.remaining_edges = m_r;
   result.strategy = choose_strategy(m_r, m_original, opts.alpha);
   if (result.strategy == Strategy::kRegeneration) {
     result.regenerated =
-        regenerate(g.view(), vertex_keep, keep, {.parallel = opts.parallel});
+        regenerate(g.view(), kept, keep, {.parallel = opts.parallel});
   } else {
     edge_swap_compact(g, vertex_keep, keep, {.parallel = opts.parallel});
     result.swapped = g.biview();

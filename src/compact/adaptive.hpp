@@ -36,7 +36,17 @@ struct CompactionResult {
 };
 
 /// Counts the edges that would survive (`vertex_keep` + `keep`) over `view`,
-/// in parallel — the m_r estimate driving the adaptive choice.
+/// in parallel — the m_r estimate driving the adaptive choice. `kept` lists
+/// the vertices `vertex_keep` marks (nullable = all alive vertices) in
+/// increasing id order, e.g. core::PruneResult::kept_list; only their
+/// out-edges are read.
+eid_t count_remaining_edges(const GraphView& view,
+                            const std::uint8_t* vertex_keep,
+                            std::span<const vid_t> kept,
+                            const EdgeKeep& keep = nullptr,
+                            bool parallel = true);
+
+/// The same, listing the kept vertices first (compact::kept_vertices).
 eid_t count_remaining_edges(const GraphView& view,
                             const std::uint8_t* vertex_keep,
                             const EdgeKeep& keep = nullptr,

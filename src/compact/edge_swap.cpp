@@ -8,7 +8,8 @@
 
 namespace peek::compact {
 
-MutableCsr::MutableCsr(const CsrGraph& g) : n_(g.num_vertices()) {
+MutableCsr::MutableCsr(const CsrGraph& g)
+    : n_(g.num_vertices()), max_w_(g.max_edge_weight()) {
   vertex_alive_.assign(static_cast<size_t>(n_), 1);
   fwd_row_.assign(g.row_offsets().begin(), g.row_offsets().end());
   fwd_col_.assign(g.col().begin(), g.col().end());

@@ -28,11 +28,11 @@ class MutableCsr {
 
   GraphView view() const {
     return GraphView(n_, fwd_row_.data(), fwd_col_.data(), fwd_wgt_.data(),
-                     fwd_count_.data(), vertex_alive_.data(), nullptr);
+                     fwd_count_.data(), vertex_alive_.data(), nullptr, max_w_);
   }
   GraphView reverse_view() const {
     return GraphView(n_, rev_row_.data(), rev_col_.data(), rev_wgt_.data(),
-                     rev_count_.data(), vertex_alive_.data(), nullptr);
+                     rev_count_.data(), vertex_alive_.data(), nullptr, max_w_);
   }
   BiView biview() const { return {view(), reverse_view()}; }
 
@@ -51,6 +51,7 @@ class MutableCsr {
 
  private:
   vid_t n_ = 0;
+  weight_t max_w_ = 0;  // the copied graph's; swaps only reorder weights
   std::vector<std::uint8_t> vertex_alive_;
   std::vector<eid_t> fwd_row_, rev_row_;        // n+1, never mutated
   std::vector<vid_t> fwd_col_, rev_col_;        // swapped in place

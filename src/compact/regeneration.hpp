@@ -4,6 +4,7 @@
 // — the winning strategy when pruning removes almost everything.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "compact/edge_swap.hpp"
@@ -36,13 +37,27 @@ struct RegeneratedGraph {
   fault::Status::Code status = fault::Status::kOk;
 };
 
-/// Rebuilds the subgraph of `view` induced by `vertex_keep` (nullable = all
-/// alive vertices) minus edges rejected by `keep`. Three embarrassingly
-/// parallel passes (§6.1): mark + id prefix-sum, per-vertex degree count +
-/// offset prefix-sum, then edge fill.
+/// Rebuilds the subgraph of `view` induced by `kept` (alive vertices in
+/// increasing id order, e.g. core::PruneResult::kept_list) minus edges
+/// rejected by `keep`. New ids follow that order. Embarrassingly parallel
+/// passes (§6.1) over the kept vertices only: the id maps, per-vertex
+/// degree count + offset prefix-sum, then edge fill. The one n-sized step
+/// left is filling VertexMap::old_to_new.
+RegeneratedGraph regenerate(const GraphView& view, std::span<const vid_t> kept,
+                            const EdgeKeep& keep = nullptr,
+                            const RegenerationOptions& opts = {});
+
+/// The same over the vertices `vertex_keep` marks (nullable = all alive
+/// vertices): lists them with `kept_vertices`, then regenerates.
 RegeneratedGraph regenerate(const GraphView& view,
                             const std::uint8_t* vertex_keep,
                             const EdgeKeep& keep = nullptr,
                             const RegenerationOptions& opts = {});
+
+/// The alive vertices of `view` that `vertex_keep` marks (nullable = all),
+/// in increasing id order: one pass over every vertex, the list the
+/// mask-taking compaction calls run on.
+std::vector<vid_t> kept_vertices(const GraphView& view,
+                                 const std::uint8_t* vertex_keep);
 
 }  // namespace peek::compact

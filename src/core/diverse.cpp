@@ -34,8 +34,8 @@ DiverseResult diverse_ksp(const graph::CsrGraph& g, vid_t s, vid_t t,
     result.exhausted = true;
     return result;
   }
-  auto regen = compact::regenerate(sssp::GraphView(g),
-                                   pruned.vertex_keep.data(), pruned.edge_keep,
+  auto regen = compact::regenerate(sssp::GraphView(g), pruned.kept_list,
+                                   pruned.edge_keep,
                                    {.parallel = opts.parallel});
   const vid_t cs = regen.map.to_new(s), ct = regen.map.to_new(t);
   if (cs == kNoVertex || ct == kNoVertex) {

@@ -106,7 +106,8 @@ PeekResult run_pipeline(const graph::CsrGraph& g, vid_t s, vid_t t,
       break;
     case PeekOptions::Compaction::kAdaptive:
       strategy = compact::choose_strategy(
-          compact::count_remaining_edges(sssp::GraphView(g), keep, edge_keep,
+          compact::count_remaining_edges(sssp::GraphView(g), keep,
+                                         pruned.kept_list, edge_keep,
                                          opts.parallel),
           m_original, opts.alpha);
       break;
@@ -142,7 +143,7 @@ PeekResult run_pipeline(const graph::CsrGraph& g, vid_t s, vid_t t,
     }
     case compact::Strategy::kRegeneration:
       regen = compact::regenerate(
-          sssp::GraphView(g), keep, edge_keep,
+          sssp::GraphView(g), pruned.kept_list, edge_keep,
           {.parallel = opts.parallel, .cancel = opts.cancel});
       compact_status = regen.status;
       result.kept_edges = regen.graph.num_edges();

@@ -1,8 +1,10 @@
 #include "core/upper_bound.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <bit>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <unordered_set>
 #include <utility>
@@ -32,19 +34,66 @@ weight_t sum_at(const sssp::SsspResult& fwd, const sssp::SsspResult& tgt,
   return a == kInfDist || c == kInfDist ? kInfDist : a + c;
 }
 
+/// The parallel path's forward parents, found on demand. Δ-stepping's bucket
+/// loop (sssp::delta_stepping_distances) leaves every parent unset, and the
+/// scan walks only its candidates' source halves, so each unset parent on a
+/// half is looked up just before the walk: the first tight in-edge
+/// (dist[u] + w == dist[v]) in v's in-row of g.reverse(). graph::transpose
+/// lists every in-row's sources in increasing id order, so that edge comes
+/// from the smallest tight in-neighbour, the parent the full sweep
+/// (sssp::sweep_tight_parents) sets. The walked chains, and with them b,
+/// the keep mask and the inspected count, are therefore the full tree's
+/// (DESIGN.md §5).
+class ForwardParents {
+ public:
+  ForwardParents(const CsrGraph& g, sssp::SsspResult& tree, vid_t s)
+      : rev_(g.reverse()), tree_(tree), s_(s) {}
+
+  /// Sets every unset parent on the tree path from `v` up to s.
+  void resolve(vid_t v) {
+    vid_t u = v;
+    while (u != kNoVertex && u != s_ && tree_.parent[u] == kNoVertex) {
+      tree_.parent[u] = smallest_tight_in_neighbour(u);
+      u = tree_.parent[u];
+    }
+  }
+
+  /// In-edges read by the lookups (prune.fwd_parent_edges).
+  std::int64_t edges_read() const { return edges_read_; }
+
+ private:
+  vid_t smallest_tight_in_neighbour(vid_t v) {
+    const weight_t dv = tree_.dist[v];
+    for (eid_t e = rev_.edge_begin(v); e < rev_.edge_end(v); ++e) {
+      ++edges_read_;
+      const vid_t u = rev_.edge_target(e);
+      const weight_t du = tree_.dist[u];
+      if (du != kInfDist && du + rev_.edge_weight(e) == dv) return u;
+    }
+    return kNoVertex;
+  }
+
+  const CsrGraph& rev_;
+  sssp::SsspResult& tree_;
+  const vid_t s_;
+  std::int64_t edges_read_ = 0;
+};
+
 /// Step 3, Algorithm 2 lines 5-9: fed candidates in increasing (sum, id)
 /// order, it keeps the K-th valid, distinct combined path's sum as b.
-/// `tgt` is the spTgt tree the candidates' paths are read from.
+/// `tgt` is the spTgt tree the candidates' paths are read from; `parents`,
+/// when set, resolves `fwd`'s parents along each walked source half.
 class BoundScan {
  public:
   BoundScan(const sssp::SsspResult& fwd, const sssp::SsspResult& tgt,
-            PruneResult& r, vid_t s, vid_t t, int k)
-      : fwd_(fwd), tgt_(tgt), r_(r), s_(s), t_(t), k_(k) {}
+            ForwardParents* parents, PruneResult& r, vid_t s, vid_t t, int k)
+      : fwd_(fwd), tgt_(tgt), parents_(parents), r_(r), s_(s), t_(t), k_(k) {}
 
   /// Inspects candidate `v` of sum `sum`. True once `v` completed the K-th
   /// valid path; `bound()` is then its sum.
   bool inspect(vid_t v, weight_t sum) {
     r_.inspected_paths++;
+    if (parents_ != nullptr) parents_->resolve(v);
     if (!sssp::combined_path_is_simple(fwd_, tgt_, s_, v, t_)) {
       non_simple_++;
       return false;
@@ -71,6 +120,7 @@ class BoundScan {
  private:
   const sssp::SsspResult& fwd_;
   const sssp::SsspResult& tgt_;
+  ForwardParents* const parents_;
   PruneResult& r_;
   const vid_t s_, t_;
   const int k_;
@@ -174,21 +224,34 @@ std::vector<vid_t> bounded_reverse_search(const CsrGraph& g, vid_t t,
 
 /// Step 4's vertex rule (lines 10-12) over `candidates`, every vertex whose
 /// sum may be finite: keeps those with sum <= limit and clears the rest.
-/// Returns the kept count.
-vid_t mark_kept(const sssp::SsspResult& fwd, PruneResult& r,
-                const std::vector<vid_t>& candidates, weight_t limit,
-                bool parallel) {
-  std::atomic<vid_t> kept{0};
+/// Sets r.vertex_keep, r.kept_list and r.kept_vertices.
+void mark_kept(const sssp::SsspResult& fwd, PruneResult& r,
+               const std::vector<vid_t>& candidates, weight_t limit,
+               bool parallel) {
   auto keep_body = [&](size_t i) {
     const vid_t v = candidates[i];
     const weight_t sum = sum_at(fwd, r.to_target, v);
-    const bool keep = sum != kInfDist && sum <= limit;
-    r.vertex_keep[v] = static_cast<std::uint8_t>(keep);
-    if (keep) kept.fetch_add(1, std::memory_order_relaxed);
+    r.vertex_keep[v] =
+        static_cast<std::uint8_t>(sum != kInfDist && sum <= limit);
   };
   if (parallel) par::parallel_for(size_t{0}, candidates.size(), keep_body);
   else for (size_t i = 0; i < candidates.size(); ++i) keep_body(i);
-  return kept.load();
+  // The kept list in increasing id order: sort the kept candidates, unless
+  // that costs more than one pass over the mask (most of the graph kept).
+  std::vector<vid_t>& kept = r.kept_list;
+  for (vid_t v : candidates) {
+    if (r.vertex_keep[v]) kept.push_back(v);
+  }
+  const size_t n = r.vertex_keep.size();
+  if (kept.size() * std::bit_width(kept.size()) <= n) {
+    std::sort(kept.begin(), kept.end());
+  } else {
+    kept.clear();
+    for (size_t v = 0; v < n; ++v) {
+      if (r.vertex_keep[v]) kept.push_back(static_cast<vid_t>(v));
+    }
+  }
+  r.kept_vertices = static_cast<vid_t>(kept.size());
 }
 
 PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
@@ -200,8 +263,10 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
 
   // Step 1: shortest distances from the source, possibly precomputed by the
   // serving layer's artifact cache — a handed-in tree is read in place, and
-  // r.from_source stays empty. A handed-in reverse tree selects the
-  // reference scan; otherwise spTgt comes from the bounded search in Step 3.
+  // r.from_source stays empty. Parallel, it is Δ-stepping's bucket loop
+  // alone: the scan looks up the parents it walks. A handed-in reverse tree
+  // selects the reference scan; otherwise spTgt comes from the bounded
+  // search in Step 3.
   {
     PEEK_TIMER_SCOPE("prune.sssp");
     PEEK_FAULT_ALLOC("prune.sssp.alloc");
@@ -210,7 +275,8 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     } else if (opts.parallel) {
       sssp::DeltaSteppingOptions ds;
       ds.cancel = opts.cancel;
-      r.from_source = sssp::delta_stepping(sssp::GraphView(g), s, ds);
+      r.from_source =
+          sssp::delta_stepping_distances(sssp::GraphView(g), s, ds);
     } else {
       sssp::DijkstraOptions dj;
       dj.cancel = opts.cancel;
@@ -247,8 +313,12 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     PEEK_TIMER_SCOPE("prune.scan");
     PEEK_FAULT_STALL("prune.scan.stall");
     sssp::DijkstraWorkspace search;  // the bounded search's spTgt
-    BoundScan scan(fwd, opts.reuse_to_target ? r.to_target : search.tree, r,
-                   s, t, opts.k);
+    std::optional<ForwardParents> parents;
+    if (opts.parallel && opts.reuse_from_source == nullptr) {
+      parents.emplace(g, r.from_source, s);
+    }
+    BoundScan scan(fwd, opts.reuse_to_target ? r.to_target : search.tree,
+                   parents ? &*parents : nullptr, r, s, t, opts.k);
     if (opts.reuse_to_target) {
       candidates = full_scan(fwd, r, scan, opts);
     } else {
@@ -258,6 +328,9 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     }
     if (r.status != fault::Status::kOk) return r;
     scan.publish();
+    if (parents) {
+      PEEK_COUNT_ADD("prune.fwd_parent_edges", parents->edges_read());
+    }
     r.upper_bound = scan.bound();
   }
   const weight_t b = r.upper_bound;
@@ -266,9 +339,8 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   // go; with fewer than K estimated paths (b == inf) nothing else can.
   {
     PEEK_TIMER_SCOPE("prune.mark");
-    r.kept_vertices = mark_kept(
-        fwd, r, candidates, b == kInfDist ? kInfDist : b + keep_slack(b),
-        opts.parallel && opts.reuse_to_target != nullptr);
+    mark_kept(fwd, r, candidates, b == kInfDist ? kInfDist : b + keep_slack(b),
+              opts.parallel && opts.reuse_to_target != nullptr);
   }
   PEEK_COUNT_ADD("prune.kept_vertices", r.kept_vertices);
   PEEK_COUNT_ADD("prune.pruned_vertices", n - r.kept_vertices);

@@ -8,7 +8,9 @@
 // dist[v] > b — and every edge heavier than b — can be deleted without
 // changing the result (Theorem 4.3).
 //
-// spSrc is a full SSSP from s. spTgt is needed only where dist[v] <= b, so
+// spSrc is a full SSSP from s; on the parallel path only its distances are
+// computed in full, and the scan looks up the forward parents it walks.
+// spTgt is needed only where dist[v] <= b, so
 // it comes from a reverse A* search from t guided by spSrc, which settles
 // vertices in dist order and stops just past b: about the kept set, not the
 // whole graph (DESIGN.md §5). A caller holding a full reverse tree can hand
@@ -28,7 +30,8 @@ using graph::CsrGraph;
 struct PruneOptions {
   int k = 8;
   /// Data-parallel pruning (§6.1): Δ-stepping forward SSSP (auto bucket
-  /// width), the library's only shared-memory Δ-stepping. On the reference
+  /// width), the library's only shared-memory Δ-stepping, run without its
+  /// parent sweep (see PruneResult::from_source). On the reference
   /// path (`reuse_to_target` set) also the parallel distance-sum, sort and
   /// mark. The bounded reverse search is serial.
   bool parallel = false;
@@ -60,14 +63,22 @@ struct PruneOptions {
 struct PruneResult {
   /// Byte per vertex: survives the pruning?
   std::vector<std::uint8_t> vertex_keep;
+  /// The surviving vertices in increasing id order (kept_vertices entries):
+  /// what compaction iterates instead of all n vertices
+  /// (compact::count_remaining_edges, compact::regenerate).
+  std::vector<vid_t> kept_list;
   /// The K upper bound b (kInfDist if fewer than K estimated paths exist —
   /// then only unreachable vertices are pruned).
   weight_t upper_bound = kInfDist;
   /// Position-independent edge filter capturing b (and, when tight pruning
   /// is on, the two distance arrays); feed to any compaction strategy.
   compact::EdgeKeep edge_keep;
-  /// spSrc with parents: the full forward tree the prune computed. Empty
-  /// when PruneOptions::reuse_from_source handed one in.
+  /// spSrc: the forward tree the prune computed; empty when
+  /// PruneOptions::reuse_from_source handed one in. Serial, it is a full
+  /// Dijkstra tree. Parallel, it holds every distance but parents only
+  /// along the source halves the scan walked, each the smallest tight
+  /// in-neighbour, and kNoVertex elsewhere; sssp::sweep_tight_parents
+  /// completes them (the serving engine does so before caching the tree).
   sssp::SsspResult from_source;
   /// spTgt with parents, n entries: exact on every vertex the reverse search
   /// settled (a superset of the kept ones) and kInfDist with no parent

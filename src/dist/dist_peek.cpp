@@ -164,10 +164,9 @@ DistPeekResult dist_peek_ksp(Comm& comm, const graph::CsrGraph& g, vid_t s,
   // edges of its OWNED rows; the (tiny) pruned graph is then replicated.
   compact::VertexMap map;
   map.old_to_new.assign(static_cast<size_t>(n), kNoVertex);
-  for (vid_t v = 0; v < n; ++v) {
-    if (!pruned.vertex_keep[v]) continue;
-    map.old_to_new[v] = static_cast<vid_t>(map.new_to_old.size());
-    map.new_to_old.push_back(v);
+  map.new_to_old = pruned.kept_list;
+  for (vid_t i = 0; i < result.kept_vertices; ++i) {
+    map.old_to_new[map.new_to_old[i]] = i;
   }
   std::vector<vid_t> edge_ids;      // (new_u, new_v) pairs, flattened
   std::vector<weight_t> edge_wgts;

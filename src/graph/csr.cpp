@@ -1,5 +1,6 @@
 #include "graph/csr.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -20,10 +21,13 @@ CsrGraph::CsrGraph(std::vector<eid_t> row_offsets, std::vector<vid_t> col,
     if (row_[v] > row_[v + 1])
       throw std::invalid_argument("CsrGraph: offsets not monotone");
   }
+  weight_t max_w = 0;
   for (eid_t e = 0; e < m_; ++e) {
     if (col_[e] < 0 || col_[e] >= n_)
       throw std::invalid_argument("CsrGraph: column id out of range");
+    max_w = std::max(max_w, wgt_[e]);
   }
+  max_w_ = max_w;
 }
 
 eid_t CsrGraph::find_edge(vid_t u, vid_t v) const {

@@ -32,7 +32,8 @@ class CsrGraph {
 
   /// Takes ownership of pre-validated CSR arrays.
   /// `row_offsets.size() == n+1`, `col.size() == weights.size() == m`,
-  /// offsets monotonically non-decreasing, column ids in [0, n).
+  /// offsets monotonically non-decreasing, column ids in [0, n). The
+  /// validation pass over every edge also records the max weight.
   CsrGraph(std::vector<eid_t> row_offsets, std::vector<vid_t> col,
            std::vector<weight_t> weights);
 
@@ -70,8 +71,14 @@ class CsrGraph {
   /// Total weight of all edges (used by tests and stats).
   weight_t total_weight() const;
 
-  /// The transposed graph (every edge reversed). Built lazily, cached, and
-  /// safe to call concurrently after a first warm-up call.
+  /// Largest edge weight (0 with no edges), found once at construction:
+  /// the graph is immutable, so Δ-stepping's automatic bucket width reads it
+  /// instead of scanning every edge per call.
+  weight_t max_edge_weight() const { return max_w_; }
+
+  /// The transposed graph (every edge reversed; see `transpose`). Built
+  /// lazily, cached, and safe to call concurrently after a first warm-up
+  /// call.
   const CsrGraph& reverse() const;
 
   /// Eagerly build and cache the reverse graph (call before parallel regions
@@ -95,6 +102,7 @@ class CsrGraph {
 
   vid_t n_ = 0;
   eid_t m_ = 0;
+  weight_t max_w_ = 0;
   std::vector<eid_t> row_;      // n+1
   std::vector<vid_t> col_;      // m
   std::vector<weight_t> wgt_;   // m
@@ -102,7 +110,10 @@ class CsrGraph {
       std::make_shared<ReverseCache>();
 };
 
-/// Builds the transpose of `g` (counting sort over target vertices).
+/// Builds the transpose of `g` (counting sort over target vertices). Each
+/// in-row lists its sources in increasing id order, so the first tight
+/// in-edge of a row is the smallest tight in-neighbour (the parent rule of
+/// sssp/delta_stepping).
 CsrGraph transpose(const CsrGraph& g);
 
 }  // namespace peek::graph

@@ -41,13 +41,12 @@ struct alignas(64) Worker {
   std::vector<vid_t> draining;           // the current bin, while fused
   size_t first = kNoBucket;              // least non-empty bin after a round
   std::int64_t expanded = 0, relaxed = 0, improved = 0;
-  weight_t max_w = 0;
 };
 
 }  // namespace
 
-SsspResult delta_stepping(const GraphView& view, vid_t source,
-                          const DeltaSteppingOptions& opts) {
+SsspResult delta_stepping_distances(const GraphView& view, vid_t source,
+                                    const DeltaSteppingOptions& opts) {
   const vid_t n = view.num_vertices();
   SsspResult r;
   r.dist.assign(static_cast<size_t>(n), kInfDist);
@@ -58,24 +57,8 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
   std::vector<Worker> workers(static_cast<size_t>(nt));
   std::vector<Share> shares(static_cast<size_t>(nt));
   weight_t* const dist = r.dist.data();
-
-  // The automatic Δ's max alive weight: one parallel pass, a maximum per
-  // worker.
-  const bool find_delta = !(opts.delta > 0);
-  if (find_delta) {
-    par::parallel_for_dynamic(vid_t{0}, n, [&](vid_t v) {
-      if (!view.vertex_alive(v)) return;
-      Worker& me = workers[static_cast<size_t>(par::thread_id())];
-      for (eid_t e = view.edge_begin(v); e < view.edge_end(v); ++e) {
-        if (view.edge_alive(e)) {
-          me.max_w = std::max(me.max_w, view.edge_weight(e));
-        }
-      }
-    }, /*chunk=*/1024);
-  }
-  weight_t max_w = 0;
-  for (const Worker& w : workers) max_w = std::max(max_w, w.max_w);
-  const weight_t delta = find_delta ? auto_delta(max_w) : opts.delta;
+  const weight_t delta =
+      opts.delta > 0 ? opts.delta : auto_delta(view.graph_max_weight());
 
   auto push = [delta](Worker& me, vid_t v, weight_t d) {
     const auto b = static_cast<size_t>(d / delta);
@@ -186,24 +169,26 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
   PEEK_COUNT_ADD("sssp.delta.relaxed_edges", relaxed);
   PEEK_COUNT_ADD("sssp.delta.improved", improved);
 
-  // One parallel sweep drops the claims. Unless cancelled (a partial tree
-  // keeps no parents), it also picks parents: for every tight alive edge
-  // u->v (dist[u] + w == dist[v]) the smallest such u, whatever order the
-  // workers find them in.
-  const bool finished = r.status == fault::Status::kOk;
+  // Drop the claims.
+  par::parallel_for(vid_t{0}, n, [dist](vid_t v) {
+    dist[v] = std::fabs(dist[v]);
+  });
+  return r;
+}
+
+void sweep_tight_parents(const GraphView& view, vid_t source, SsspResult& r) {
+  // For every tight alive edge u->v (dist[u] + w == dist[v]) the smallest
+  // such u, whatever order the workers find them in.
+  const weight_t* const dist = r.dist.data();
   vid_t* const parent = r.parent.data();
-  par::parallel_for_dynamic(vid_t{0}, n, [&](vid_t u) {
-    std::atomic_ref<weight_t> du_ref(dist[u]);
-    const weight_t du = std::fabs(du_ref.load(std::memory_order_relaxed));
-    du_ref.store(du, std::memory_order_relaxed);
-    if (!finished || du == kInfDist || !view.vertex_alive(u)) return;
+  par::parallel_for_dynamic(vid_t{0}, view.num_vertices(), [&](vid_t u) {
+    const weight_t du = dist[u];
+    if (du == kInfDist || !view.vertex_alive(u)) return;
     for (eid_t e = view.edge_begin(u); e < view.edge_end(u); ++e) {
       if (!view.edge_alive(e)) continue;
       const vid_t v = view.edge_target(e);
       if (v == source || !view.vertex_alive(v)) continue;
-      const weight_t dv = std::fabs(
-          std::atomic_ref<weight_t>(dist[v]).load(std::memory_order_relaxed));
-      if (du + view.edge_weight(e) != dv) continue;
+      if (du + view.edge_weight(e) != dist[v]) continue;
       std::atomic_ref<vid_t> pv(parent[v]);
       vid_t cur = pv.load(std::memory_order_relaxed);
       while ((cur == kNoVertex || u < cur) &&
@@ -211,6 +196,13 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
       }
     }
   }, /*chunk=*/1024);
+}
+
+SsspResult delta_stepping(const GraphView& view, vid_t source,
+                          const DeltaSteppingOptions& opts) {
+  SsspResult r = delta_stepping_distances(view, source, opts);
+  // A partial tree keeps no parents.
+  if (r.status == fault::Status::kOk) sweep_tight_parents(view, source, r);
   return r;
 }
 

@@ -10,6 +10,12 @@
 // distance value. In this library it runs only the parallel prune's forward
 // SSSP (core/upper_bound); every other search, deviation SSSPs included,
 // runs on the one Dijkstra core (sssp/dijkstra).
+//
+// A run is two steps: the bucket loop (distances) and the parent sweep (one
+// parallel pass over every edge). `delta_stepping` runs both. The parallel
+// prune runs the loop alone and looks up only the parents its bound scan
+// walks, by the sweep's own rule (core/upper_bound.cpp); the serving engine
+// runs the sweep on such a tree before caching it.
 #pragma once
 
 #include "sssp/dijkstra.hpp"
@@ -17,23 +23,37 @@
 namespace peek::sssp {
 
 struct DeltaSteppingOptions {
-  /// Bucket width. <= 0 selects automatically (max edge weight / 8, bounded
-  /// below, which approximates the average-weight heuristic of the paper's
-  /// implementations).
+  /// Bucket width. <= 0 selects automatically: the viewed graph's max edge
+  /// weight (GraphView::graph_max_weight, recorded once when the CsrGraph was
+  /// built, so no call scans the edges for it) / 8, bounded below, which
+  /// approximates the average-weight heuristic of the paper's
+  /// implementations.
   weight_t delta = 0;
   /// Cooperative cancellation, polled between rounds (the fork/join grain —
   /// never inside a parallel region). Null = never.
   const fault::CancelToken* cancel = nullptr;
 };
 
-/// SSSP from `source` over `view`, on par::max_threads() workers. Distances
-/// match Dijkstra bit-for-bit on the same view at every worker count. Each
-/// parent is the smallest alive in-neighbour u with dist[u] + w == dist[v]
-/// (under ties, not necessarily Dijkstra's), so parents do not depend on
-/// the worker count either. A cancelled run returns its distances so far
-/// and no parents.
+/// SSSP from `source` over `view`, on par::max_threads() workers: the bucket
+/// loop, then the parent sweep. Distances match Dijkstra bit-for-bit on the
+/// same view at every worker count. Each parent is the smallest alive
+/// in-neighbour u with dist[u] + w == dist[v] (under ties, not necessarily
+/// Dijkstra's), so parents do not depend on the worker count either. A
+/// cancelled run returns its distances so far and no parents.
 SsspResult delta_stepping(const GraphView& view, vid_t source,
                           const DeltaSteppingOptions& opts = {});
+
+/// The bucket loop alone: `delta_stepping`'s distances and status, with
+/// every parent kNoVertex.
+SsspResult delta_stepping_distances(const GraphView& view, vid_t source,
+                                    const DeltaSteppingOptions& opts = {});
+
+/// The parent sweep, one parallel pass over every alive edge: sets each
+/// parent of `r` to the smallest alive in-neighbour u of v with
+/// dist[u] + w(u, v) == dist[v] (kNoVertex for `source` and unreachable
+/// vertices). `r` holds the finished distances from `source` over `view`;
+/// a parent already set must already be that vertex.
+void sweep_tight_parents(const GraphView& view, vid_t source, SsspResult& r);
 
 /// Δ-stepping on the reverse graph (distances TO `target`).
 SsspResult reverse_delta_stepping(const CsrGraph& g, vid_t target,

@@ -23,7 +23,8 @@ class GraphView {
   /// View of the whole graph.
   explicit GraphView(const CsrGraph& g)
       : n_(g.num_vertices()), row_(g.row_offsets().data()),
-        col_(g.col().data()), wgt_(g.weights().data()) {}
+        col_(g.col().data()), wgt_(g.weights().data()),
+        max_w_(g.max_edge_weight()) {}
 
   /// Status-array view over a CsrGraph: per-vertex / per-edge alive bytes
   /// (either may be null).
@@ -35,11 +36,13 @@ class GraphView {
   }
 
   /// Fully general raw-array view (used by MutableCsr / edge-swap).
+  /// `max_w` is the largest weight in `wgt`, or 0 when not known (an
+  /// automatic Δ is then 1).
   GraphView(vid_t n, const eid_t* row, const vid_t* col, const weight_t* wgt,
             const eid_t* valid_edge_count, const std::uint8_t* vertex_alive,
-            const std::uint8_t* edge_alive)
+            const std::uint8_t* edge_alive, weight_t max_w = 0)
       : n_(n), row_(row), col_(col), wgt_(wgt), edge_count_(valid_edge_count),
-        vertex_alive_(vertex_alive), edge_alive_(edge_alive) {}
+        vertex_alive_(vertex_alive), edge_alive_(edge_alive), max_w_(max_w) {}
 
   vid_t num_vertices() const { return n_; }
 
@@ -68,7 +71,12 @@ class GraphView {
     return kNoEdge;
   }
 
-  /// Max alive edge weight (Δ-stepping's auto bucket width).
+  /// Largest weight in the viewed arrays, alive or not: the viewed graph's
+  /// CsrGraph::max_edge_weight, O(1). Δ-stepping's automatic bucket width
+  /// reads it.
+  weight_t graph_max_weight() const { return max_w_; }
+
+  /// Max alive edge weight, by a scan over every edge.
   weight_t max_edge_weight() const {
     weight_t mx = 0;
     for (vid_t v = 0; v < n_; ++v) {
@@ -100,6 +108,7 @@ class GraphView {
   const eid_t* edge_count_ = nullptr;
   const std::uint8_t* vertex_alive_ = nullptr;
   const std::uint8_t* edge_alive_ = nullptr;
+  weight_t max_w_ = 0;
 };
 
 /// Forward + reverse views of the same logical graph — what the KSP

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compact/adaptive.hpp"
 #include "sssp/dijkstra.hpp"
 #include "test_util.hpp"
 
@@ -118,6 +119,84 @@ TEST(Regeneration, ComposesWithEdgeSwapView) {
   auto regen = regenerate(mc.view(), nullptr);
   EXPECT_EQ(regen.graph.num_vertices(), 48);
   EXPECT_EQ(regen.graph.num_edges(), mc.num_valid_edges());
+}
+
+TEST(Regeneration, KeptListMatchesMask) {
+  // The inputs of the tests above, through the kept-list overloads that
+  // core::peek_ksp calls with PruneResult::kept_list: the same graph, the
+  // same maps and the same remaining-edge count as the mask path.
+  struct Input {
+    std::string name;
+    graph::CsrGraph g;
+    std::vector<std::uint8_t> keep;
+    EdgeKeep pred;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back(
+      {"line", graph::from_edges(5, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0},
+                                     {3, 4, 1.0}, {0, 4, 9.0}}),
+       {1, 0, 1, 0, 1}, nullptr});
+  inputs.push_back({"predicate", graph::from_edges(2, {{0, 1, 5.0}}), {1, 1},
+                    [](vid_t, vid_t, weight_t w) { return w <= 1.0; }});
+  auto ex = test::paper_example_graph();
+  std::vector<std::uint8_t> fig5c(16, 0);
+  for (const char* name : {"f", "g", "j", "l", "q", "s", "t"})
+    fig5c[ex.id.at(name)] = 1;
+  inputs.push_back({"figure5c", ex.g, fig5c, nullptr});
+  std::vector<std::uint8_t> every5th(120, 1);
+  for (vid_t v = 0; v < 120; v += 5) every5th[v] = 0;
+  every5th[0] = 1;
+  inputs.push_back({"sssp", test::random_graph(120, 1000, 71), every5th,
+                    [](vid_t, vid_t, weight_t w) { return w <= 0.9; }});
+  std::vector<std::uint8_t> even(64, 1);
+  for (vid_t v = 1; v < 64; v += 2) even[v] = 0;
+  inputs.push_back({"maps", test::random_graph(64, 256, 73), even, nullptr});
+  std::vector<std::uint8_t> every7th(100, 1);
+  for (vid_t v = 0; v < 100; v += 7) every7th[v] = 0;
+  inputs.push_back({"serial", test::random_graph(100, 900, 79), every7th,
+                    nullptr});
+  inputs.push_back({"nothing", graph::from_edges(2, {{0, 1, 1.0}}), {0, 0},
+                    nullptr});
+
+  auto expect_same = [](const GraphView& view, const std::uint8_t* mask,
+                        const std::vector<vid_t>& list, const EdgeKeep& pred) {
+    for (bool parallel : {false, true}) {
+      SCOPED_TRACE(parallel ? "parallel" : "serial");
+      const auto want = regenerate(view, mask, pred, {.parallel = parallel});
+      const auto got = regenerate(view, list, pred, {.parallel = parallel});
+      ASSERT_EQ(got.status, fault::Status::kOk);
+      EXPECT_TRUE(got.graph == want.graph);
+      EXPECT_EQ(got.map.new_to_old, want.map.new_to_old);
+      EXPECT_EQ(got.map.old_to_new, want.map.old_to_new);
+      EXPECT_EQ(count_remaining_edges(view, mask, list, pred, parallel),
+                count_remaining_edges(view, mask, pred, parallel));
+      EXPECT_EQ(count_remaining_edges(view, mask, list, pred, parallel),
+                want.graph.num_edges());
+    }
+  };
+  for (const auto& in : inputs) {
+    SCOPED_TRACE(in.name);
+    std::vector<vid_t> list;
+    for (vid_t v = 0; v < in.g.num_vertices(); ++v) {
+      if (in.keep[v]) list.push_back(v);
+    }
+    EXPECT_EQ(kept_vertices(sssp::GraphView(in.g), in.keep.data()), list);
+    expect_same(sssp::GraphView(in.g), in.keep.data(), list, in.pred);
+  }
+
+  // The edge-swapped view, whose mask is its own vertex_alive.
+  auto g = test::random_graph(50, 400, 83);
+  MutableCsr mc(g);
+  std::vector<std::uint8_t> keep(50, 1);
+  keep[10] = keep[20] = 0;
+  edge_swap_compact(mc, keep.data());
+  std::vector<vid_t> alive;
+  for (vid_t v = 0; v < 50; ++v) {
+    if (mc.vertex_alive()[v]) alive.push_back(v);
+  }
+  SCOPED_TRACE("edge-swap view");
+  EXPECT_EQ(kept_vertices(mc.view(), nullptr), alive);
+  expect_same(mc.view(), nullptr, alive, nullptr);
 }
 
 }  // namespace

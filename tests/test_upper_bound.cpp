@@ -5,8 +5,11 @@
 #include <bit>
 #include <cstdint>
 
+#include "compact/regeneration.hpp"
 #include "ksp/bruteforce.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/parallel_for.hpp"
+#include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "test_util.hpp"
 
@@ -106,6 +109,7 @@ void expect_same_prune(const PruneResult& got, const PruneResult& want) {
   EXPECT_EQ(got.kept_vertices, want.kept_vertices);
   EXPECT_EQ(got.inspected_paths, want.inspected_paths);
   ASSERT_EQ(got.vertex_keep, want.vertex_keep);
+  EXPECT_EQ(got.kept_list, want.kept_list);
   for (size_t v = 0; v < want.vertex_keep.size(); ++v) {
     if (!want.vertex_keep[v]) continue;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got.to_target.dist[v]),
@@ -148,6 +152,71 @@ TEST(UpperBound, BoundedSearchMatchesFullTrees) {
   }
   // The sweep must exercise the bounded stop, not only b = ∞ run-outs.
   EXPECT_GT(finite_bounds, 60);
+}
+
+TEST(UpperBound, ParallelScanParentsMatchAHandedFullTree) {
+  // The parallel prune runs Δ-stepping's bucket loop alone and looks up only
+  // the forward parents its scan walks. Handed the full Δ-stepping tree
+  // instead, the same prune must find the same b, keep mask, inspected
+  // paths, kept list and compacted graph, at every thread count, and every
+  // parent it looked up must be the full sweep's: the smallest tight
+  // in-neighbour. Unit weights make most parents a choice among ties.
+  std::vector<test::NamedGraph> graphs = test::tie_heavy_graphs();
+  for (std::uint64_t seed : {271u, 272u, 273u}) {
+    graphs.push_back({"er" + std::to_string(seed),
+                      test::random_graph(300, 2400, seed)});
+  }
+  std::int64_t looked_up = 0;
+  int finite_bounds = 0;
+  for (const auto& [name, g] : graphs) {
+    const sssp::GraphView view(g);
+    for (const auto& [s, t] : test::spread_pairs(g.num_vertices(), 4)) {
+      const sssp::SsspResult dj = sssp::dijkstra(view, s);
+      const std::vector<vid_t> want = test::smallest_tight_parents(view, dj, s);
+      for (int k : {1, 8, 32}) {
+        for (int threads : {1, 2, 4}) {
+          SCOPED_TRACE(name + " " + std::to_string(s) + "->" +
+                       std::to_string(t) + " K=" + std::to_string(k) + " " +
+                       std::to_string(threads) + " threads");
+          par::ThreadScope scope(threads);
+          PruneOptions opts;
+          opts.k = k;
+          opts.parallel = true;
+          const PruneResult on_demand = k_upper_bound_prune(g, s, t, opts);
+          const sssp::SsspResult full = sssp::delta_stepping(view, s);
+          opts.reuse_from_source = &full;
+          const PruneResult handed = k_upper_bound_prune(g, s, t, opts);
+          ASSERT_EQ(on_demand.status, fault::Status::kOk);
+          ASSERT_EQ(handed.status, fault::Status::kOk);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(on_demand.upper_bound),
+                    std::bit_cast<std::uint64_t>(handed.upper_bound));
+          EXPECT_EQ(on_demand.vertex_keep, handed.vertex_keep);
+          EXPECT_EQ(on_demand.inspected_paths, handed.inspected_paths);
+          EXPECT_EQ(on_demand.kept_vertices, handed.kept_vertices);
+          EXPECT_EQ(on_demand.kept_list, handed.kept_list);
+          EXPECT_EQ(on_demand.kept_list,
+                    compact::kept_vertices(view, on_demand.vertex_keep.data()));
+          const auto a = compact::regenerate(view, on_demand.kept_list,
+                                             on_demand.edge_keep);
+          const auto b =
+              compact::regenerate(view, handed.kept_list, handed.edge_keep);
+          EXPECT_TRUE(a.graph == b.graph);
+          EXPECT_EQ(a.map.new_to_old, b.map.new_to_old);
+          if (handed.upper_bound != kInfDist) finite_bounds++;
+
+          ASSERT_EQ(on_demand.from_source.dist, dj.dist);
+          for (size_t v = 0; v < want.size(); ++v) {
+            const vid_t p = on_demand.from_source.parent[v];
+            if (p == kNoVertex) continue;
+            looked_up++;
+            EXPECT_EQ(p, want[v]) << "vertex " << v;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(looked_up, 0);
+  EXPECT_GT(finite_bounds, 100);
 }
 
 #if PEEK_OBS_ENABLED
