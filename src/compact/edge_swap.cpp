@@ -36,9 +36,11 @@ eid_t MutableCsr::num_valid_edges() const {
 
 namespace {
 
-/// Two-pointer pack of one CSR row: front pointer scans for deleted edges,
-/// back pointer donates kept ones (§5.2's front/back pointer scheme).
-/// `self` is the row's owning vertex; `forward` selects the (src,dst)
+/// Stable pack of one CSR row in one pass: each kept edge swaps down to the
+/// next valid slot, so kept edges keep their order and deleted ones end in
+/// the tail. The KSP search breaks ties by row order, so this order must be
+/// the regenerated graph's; §5.2's front/back pointers broke it (DESIGN.md
+/// §3). `self` is the row's owning vertex; `forward` selects the (src,dst)
 /// argument order handed to `keep`.
 eid_t pack_row(vid_t self, eid_t begin, eid_t count, std::vector<vid_t>& col,
                std::vector<weight_t>& wgt, const std::uint8_t* vertex_keep,
@@ -50,21 +52,16 @@ eid_t pack_row(vid_t self, eid_t begin, eid_t count, std::vector<vid_t>& col,
     const weight_t w = wgt[static_cast<size_t>(e)];
     return forward ? keep(self, other, w) : keep(other, self, w);
   };
-  eid_t front = begin;
-  eid_t back = begin + count - 1;
-  while (front <= back) {
-    if (kept(front)) {
-      ++front;
-    } else if (!kept(back)) {
-      --back;
-    } else {
-      std::swap(col[static_cast<size_t>(front)], col[static_cast<size_t>(back)]);
-      std::swap(wgt[static_cast<size_t>(front)], wgt[static_cast<size_t>(back)]);
-      ++front;
-      --back;
+  eid_t valid = begin;
+  for (eid_t e = begin; e < begin + count; ++e) {
+    if (!kept(e)) continue;
+    if (e != valid) {
+      std::swap(col[static_cast<size_t>(valid)], col[static_cast<size_t>(e)]);
+      std::swap(wgt[static_cast<size_t>(valid)], wgt[static_cast<size_t>(e)]);
     }
+    ++valid;
   }
-  return front - begin;  // new valid count
+  return valid - begin;  // new valid count
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Edge-swap compaction (§5.2): swap each vertex's deleted out-edges past the
 // valid region of its CSR row and shrink the valid-edge count, keeping the
-// original arrays. O(n + m_a) where m_a is the edge count of surviving
-// vertices; embarrassingly parallel across vertices (§6.1).
+// original arrays. Kept edges keep their order, as on a regenerated graph.
+// O(n + m_a) where m_a is the edge count of surviving vertices;
+// embarrassingly parallel across vertices (§6.1).
 #pragma once
 
 #include <functional>

@@ -4,7 +4,6 @@
 #include <bit>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <unordered_set>
 #include <utility>
@@ -34,72 +33,86 @@ weight_t sum_at(const sssp::SsspResult& fwd, const sssp::SsspResult& tgt,
   return a == kInfDist || c == kInfDist ? kInfDist : a + c;
 }
 
-/// The parallel path's forward parents, found on demand. Δ-stepping's bucket
-/// loop (sssp::delta_stepping_distances) leaves every parent unset, and the
-/// scan walks only its candidates' source halves, so each unset parent on a
-/// half is looked up just before the walk: the first tight in-edge
-/// (dist[u] + w == dist[v]) in v's in-row of g.reverse(). graph::transpose
-/// lists every in-row's sources in increasing id order, so that edge comes
-/// from the smallest tight in-neighbour, the parent the full sweep
-/// (sssp::sweep_tight_parents) sets. The walked chains, and with them b,
-/// the keep mask and the inspected count, are therefore the full tree's
-/// (DESIGN.md §5).
+/// The forward parents the scan walks, found on demand by one rule, whoever
+/// computed the distances: the prune's Δ-stepping bucket loop leaves every
+/// parent unset, and a handed-in tree's parents are never read. Each parent
+/// on a walked source half is looked up just before the walk: the first
+/// tight in-edge (dist[u] + w == dist[v]) in v's in-row of g.reverse().
+/// graph::transpose lists every in-row's sources in increasing id order, so
+/// that edge comes from the smallest tight in-neighbour, the parent
+/// sssp::delta_stepping's full sweep sets. The walked chains, and with them
+/// b, the keep mask and the inspected count, depend on the distances alone
+/// (DESIGN.md §5). Resolved parents go to `parent`, a per-query store the
+/// prune owns: the computed tree's own parent array, or an overlay when the
+/// tree was handed in (it stays const).
 class ForwardParents {
  public:
-  ForwardParents(const CsrGraph& g, sssp::SsspResult& tree, vid_t s)
-      : rev_(g.reverse()), tree_(tree), s_(s) {}
+  ForwardParents(const CsrGraph& g, const std::vector<weight_t>& dist,
+                 std::vector<vid_t>& parent, vid_t s)
+      : rev_(g.reverse()), dist_(dist), parent_(parent), s_(s) {}
 
-  /// Sets every unset parent on the tree path from `v` up to s.
-  void resolve(vid_t v) {
-    vid_t u = v;
-    while (u != kNoVertex && u != s_ && tree_.parent[u] == kNoVertex) {
-      tree_.parent[u] = smallest_tight_in_neighbour(u);
-      u = tree_.parent[u];
+  /// The tree path s -> v into `out`, resolving every unset parent on it;
+  /// false (and `out` cleared) when the chain does not reach s.
+  bool source_half(vid_t v, std::vector<vid_t>& out) {
+    out.clear();
+    for (vid_t u = v; u != kNoVertex; u = parent_of(u)) {
+      out.push_back(u);
+      if (u == s_) {
+        std::reverse(out.begin(), out.end());
+        return true;
+      }
+      // Defensive: rounding can make a positive-weight cycle tight.
+      if (out.size() > parent_.size()) break;
     }
+    out.clear();
+    return false;
   }
 
   /// In-edges read by the lookups (prune.fwd_parent_edges).
   std::int64_t edges_read() const { return edges_read_; }
 
  private:
-  vid_t smallest_tight_in_neighbour(vid_t v) {
-    const weight_t dv = tree_.dist[v];
+  vid_t parent_of(vid_t v) {
+    vid_t& p = parent_[v];
+    if (p != kNoVertex) return p;
+    const weight_t dv = dist_[v];
     for (eid_t e = rev_.edge_begin(v); e < rev_.edge_end(v); ++e) {
       ++edges_read_;
       const vid_t u = rev_.edge_target(e);
-      const weight_t du = tree_.dist[u];
-      if (du != kInfDist && du + rev_.edge_weight(e) == dv) return u;
+      const weight_t du = dist_[u];
+      if (du != kInfDist && du + rev_.edge_weight(e) == dv) return p = u;
     }
     return kNoVertex;
   }
 
   const CsrGraph& rev_;
-  sssp::SsspResult& tree_;
+  const std::vector<weight_t>& dist_;
+  std::vector<vid_t>& parent_;
   const vid_t s_;
   std::int64_t edges_read_ = 0;
 };
 
 /// Step 3, Algorithm 2 lines 5-9: fed candidates in increasing (sum, id)
 /// order, it keeps the K-th valid, distinct combined path's sum as b.
-/// `tgt` is the spTgt tree the candidates' paths are read from; `parents`,
-/// when set, resolves `fwd`'s parents along each walked source half.
+/// `tgt` is the spTgt tree the candidates' target halves are read from;
+/// `parents` resolves their source halves.
 class BoundScan {
  public:
-  BoundScan(const sssp::SsspResult& fwd, const sssp::SsspResult& tgt,
-            ForwardParents* parents, PruneResult& r, vid_t s, vid_t t, int k)
-      : fwd_(fwd), tgt_(tgt), parents_(parents), r_(r), s_(s), t_(t), k_(k) {}
+  BoundScan(const sssp::SsspResult& tgt, ForwardParents& parents,
+            PruneResult& r, vid_t t, int k)
+      : tgt_(tgt), parents_(parents), r_(r), t_(t), k_(k) {}
 
   /// Inspects candidate `v` of sum `sum`. True once `v` completed the K-th
   /// valid path; `bound()` is then its sum.
   bool inspect(vid_t v, weight_t sum) {
     r_.inspected_paths++;
-    if (parents_ != nullptr) parents_->resolve(v);
-    if (!sssp::combined_path_is_simple(fwd_, tgt_, s_, v, t_)) {
+    sssp::Path p;
+    if (!combined_path(v, p)) {
       non_simple_++;
       return false;
     }
-    sssp::Path p = sssp::combined_path(fwd_, tgt_, s_, v, t_);
-    if (p.empty() || !distinct_.insert(std::move(p)).second) {
+    p.dist = sum;
+    if (!distinct_.insert(std::move(p)).second) {
       duplicates_++;
       return false;
     }
@@ -118,11 +131,27 @@ class BoundScan {
   }
 
  private:
-  const sssp::SsspResult& fwd_;
+  /// The combined path s -> v -> t into `p` (§4.1): the source half by the
+  /// resolved forward parents, the target half by spTgt's. False when the
+  /// halves share a vertex other than v (the path is not simple) or either
+  /// half is missing.
+  bool combined_path(vid_t v, sssp::Path& p) {
+    if (tgt_.dist[v] == kInfDist || !parents_.source_half(v, p.verts)) {
+      return false;
+    }
+    std::unordered_set<vid_t> seen(p.verts.begin(), p.verts.end());
+    for (vid_t u = tgt_.parent[v]; u != kNoVertex; u = tgt_.parent[u]) {
+      if (!seen.insert(u).second) return false;
+      p.verts.push_back(u);
+      if (u == t_) break;
+    }
+    return p.verts.back() == t_;
+  }
+
   const sssp::SsspResult& tgt_;
-  ForwardParents* const parents_;
+  ForwardParents& parents_;
   PruneResult& r_;
-  const vid_t s_, t_;
+  const vid_t t_;
   const int k_;
   std::unordered_set<sssp::Path, sssp::PathHash> distinct_;
   int valid_ = 0;
@@ -261,10 +290,11 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   r.vertex_keep.assign(static_cast<size_t>(n), 0);
   PEEK_COUNT_INC("prune.runs");
 
-  // Step 1: shortest distances from the source, possibly precomputed by the
-  // serving layer's artifact cache — a handed-in tree is read in place, and
-  // r.from_source stays empty. Parallel, it is Δ-stepping's bucket loop
-  // alone: the scan looks up the parents it walks. A handed-in reverse tree
+  // Step 1: shortest distances from the source: Δ-stepping's bucket loop,
+  // on every worker when parallel and on one inline otherwise, or handed in
+  // by the serving layer's artifact cache or DistPeek — a handed-in tree is
+  // read in place, and r.from_source stays empty. Only distances are read:
+  // the scan looks up the parents it walks. A handed-in reverse tree
   // selects the reference scan; otherwise spTgt comes from the bounded
   // search in Step 3.
   {
@@ -272,15 +302,11 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     PEEK_FAULT_ALLOC("prune.sssp.alloc");
     if (opts.reuse_from_source) {
       PEEK_COUNT_INC("prune.reused_trees");
-    } else if (opts.parallel) {
+    } else {
       sssp::DeltaSteppingOptions ds;
       ds.cancel = opts.cancel;
-      r.from_source =
-          sssp::delta_stepping_distances(sssp::GraphView(g), s, ds);
-    } else {
-      sssp::DijkstraOptions dj;
-      dj.cancel = opts.cancel;
-      r.from_source = sssp::dijkstra(sssp::GraphView(g), s, dj);
+      r.from_source = sssp::delta_stepping_distances(
+          sssp::GraphView(g), s, ds, opts.parallel ? 0 : 1);
     }
     if (r.from_source.status != fault::Status::kOk) {
       r.status = r.from_source.status;
@@ -313,12 +339,17 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     PEEK_TIMER_SCOPE("prune.scan");
     PEEK_FAULT_STALL("prune.scan.stall");
     sssp::DijkstraWorkspace search;  // the bounded search's spTgt
-    std::optional<ForwardParents> parents;
-    if (opts.parallel && opts.reuse_from_source == nullptr) {
-      parents.emplace(g, r.from_source, s);
+    // The scan's forward parents: into the tree the prune computed, or into
+    // an overlay, since a handed-in tree stays const.
+    std::vector<vid_t> overlay;
+    if (opts.reuse_from_source) {
+      overlay.assign(static_cast<size_t>(n), kNoVertex);
     }
-    BoundScan scan(fwd, opts.reuse_to_target ? r.to_target : search.tree,
-                   parents ? &*parents : nullptr, r, s, t, opts.k);
+    ForwardParents parents(
+        g, fwd.dist, opts.reuse_from_source ? overlay : r.from_source.parent,
+        s);
+    BoundScan scan(opts.reuse_to_target ? r.to_target : search.tree, parents,
+                   r, t, opts.k);
     if (opts.reuse_to_target) {
       candidates = full_scan(fwd, r, scan, opts);
     } else {
@@ -328,9 +359,7 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
     }
     if (r.status != fault::Status::kOk) return r;
     scan.publish();
-    if (parents) {
-      PEEK_COUNT_ADD("prune.fwd_parent_edges", parents->edges_read());
-    }
+    PEEK_COUNT_ADD("prune.fwd_parent_edges", parents.edges_read());
     r.upper_bound = scan.bound();
   }
   const weight_t b = r.upper_bound;

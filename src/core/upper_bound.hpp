@@ -8,8 +8,9 @@
 // dist[v] > b — and every edge heavier than b — can be deleted without
 // changing the result (Theorem 4.3).
 //
-// spSrc is a full SSSP from s; on the parallel path only its distances are
-// computed in full, and the scan looks up the forward parents it walks.
+// spSrc is a full SSSP from s, but only its distances: every prune computes
+// them with one kernel (Δ-stepping) and looks up the forward parents its scan
+// walks by one rule, so every entry point walks the same source halves.
 // spTgt is needed only where dist[v] <= b, so
 // it comes from a reverse A* search from t guided by spSrc, which settles
 // vertices in dist order and stops just past b: about the kept set, not the
@@ -29,23 +30,26 @@ using graph::CsrGraph;
 
 struct PruneOptions {
   int k = 8;
-  /// Data-parallel pruning (§6.1): Δ-stepping forward SSSP (auto bucket
-  /// width), the library's only shared-memory Δ-stepping, run without its
-  /// parent sweep (see PruneResult::from_source). On the reference
-  /// path (`reuse_to_target` set) also the parallel distance-sum, sort and
-  /// mark. The bounded reverse search is serial.
+  /// Data-parallel pruning (§6.1): the forward SSSP, Δ-stepping's bucket
+  /// loop (auto bucket width) either way, runs on par::max_threads()
+  /// workers instead of one worker inline on the calling thread; its
+  /// distances are the same. On the reference path (`reuse_to_target` set)
+  /// also the parallel distance-sum, sort and mark. The bounded reverse
+  /// search is serial.
   bool parallel = false;
   /// Extension beyond the paper's Algorithm 2 line 13 (`w(e) > b`): also
   /// prune edge (u,v) when spSrc[u] + w + spTgt[v] > b, which is sound by
   /// the same Lemma 4.1 argument and strictly stronger.
   bool tight_edge_prune = false;
-  /// A precomputed forward SSSP tree to reuse: the serving layer's
+  /// Precomputed forward distances to reuse: the serving layer's
   /// cross-query artifact cache (serve/artifact_cache.hpp) hands in a tree
   /// it computed for an earlier query from the same s, and DistPeek
-  /// (dist/dist_peek.hpp) the tree its distributed SSSP gathered on every
-  /// rank. When non-null, the prune reads the tree in place instead of
-  /// recomputing it, and PruneResult::from_source stays empty. The tree must
-  /// have been computed on this exact graph from this s.
+  /// (dist/dist_peek.hpp) the distances its distributed SSSP gathered on
+  /// every rank. When non-null, the prune reads `dist` in place instead of
+  /// recomputing it and never reads `parent` (which may be empty): the
+  /// parents its scan walks go to a per-query overlay, so the tree stays
+  /// const and is not copied. PruneResult::from_source stays empty. The
+  /// distances must have been computed on this exact graph from this s.
   const sssp::SsspResult* reuse_from_source = nullptr;
   /// A full reverse SSSP tree to t, computed on this exact graph. Null (the
   /// default) runs the bounded reverse search. Non-null copies the tree and
@@ -73,12 +77,12 @@ struct PruneResult {
   /// Position-independent edge filter capturing b (and, when tight pruning
   /// is on, the two distance arrays); feed to any compaction strategy.
   compact::EdgeKeep edge_keep;
-  /// spSrc: the forward tree the prune computed; empty when
-  /// PruneOptions::reuse_from_source handed one in. Serial, it is a full
-  /// Dijkstra tree. Parallel, it holds every distance but parents only
-  /// along the source halves the scan walked, each the smallest tight
-  /// in-neighbour, and kNoVertex elsewhere; sssp::sweep_tight_parents
-  /// completes them (the serving engine does so before caching the tree).
+  /// spSrc: the forward distances the prune computed, bit-identical to
+  /// Dijkstra's at every worker count; empty when
+  /// PruneOptions::reuse_from_source handed them in. Its parents are only
+  /// those on the source halves the scan walked, each the smallest tight
+  /// in-neighbour (DESIGN.md §5), and kNoVertex elsewhere; nothing
+  /// downstream reads them.
   sssp::SsspResult from_source;
   /// spTgt with parents, n entries: exact on every vertex the reverse search
   /// settled (a superset of the kept ones) and kInfDist with no parent

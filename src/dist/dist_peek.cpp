@@ -131,20 +131,22 @@ DistPeekResult dist_peek_ksp(Comm& comm, const graph::CsrGraph& g, vid_t s,
   DistPeekResult result;
   const vid_t n = g.num_vertices();
 
-  // Stage 1: the forward distributed SSSP over the 1-D slices, gathered
-  // into the full tree on every rank.
+  // Stage 1: the forward distributed SSSP over the 1-D slices, its
+  // distances gathered on every rank.
   const LocalGraph slice = make_local_graph(g, comm.rank(), comm.size());
   const DistSsspResult local =
       dist_delta_stepping(comm, slice, s, {.retry = opts.retry});
   result.edges_relaxed = comm.allreduce_sum(local.edges_relaxed);
   SsspResult fwd;
-  gather_global(comm, slice, local, fwd.dist, fwd.parent);
+  gather_global(comm, slice, local, fwd.dist);
 
   // Stage 2: the one prune (core/upper_bound), replicated. Every rank runs
-  // it on the same graph and gathered tree, so all compute the same b, keep
-  // mask and reverse tree with no messages. It can fail on one rank alone
-  // (an allocation failure, real or injected), so the ranks agree on its
-  // status before stage 3's collectives, and then all return it.
+  // it on the same graph and gathered distances, which equal Dijkstra's, and
+  // the prune resolves the forward parents it walks by its one rule: so all
+  // ranks compute peek_ksp's b, keep mask and reverse tree, with no
+  // messages. It can fail on one rank alone (an allocation failure, real or
+  // injected), so the ranks agree on its status before stage 3's
+  // collectives, and then all return it.
   core::PruneOptions po;
   po.k = opts.k;
   po.reuse_from_source = &fwd;

@@ -1,9 +1,10 @@
 // Distributed PeeK (§6.2): 1-D partition, one distributed Δ-stepping SSSP
 // from the source, the shared prune (core/upper_bound) replicated on the
-// gathered tree, distributed regeneration of the (tiny) pruned graph, and a
-// replicated-state distributed KSP, warm-started from the prune's reverse
-// tree, where deviation SSSPs of each accepted path are assigned round-robin
-// to ranks (the outer level of the two-level strategy mapped onto nodes).
+// gathered distances, distributed regeneration of the (tiny) pruned graph,
+// and a replicated-state distributed KSP, warm-started from the prune's
+// reverse tree, where deviation SSSPs of each accepted path are assigned
+// round-robin to ranks (the outer level of the two-level strategy mapped
+// onto nodes).
 #pragma once
 
 #include "core/peek.hpp"

@@ -9,9 +9,8 @@ namespace {
 
 /// One relaxation request travelling between ranks.
 struct Req {
-  vid_t v;       // global target vertex
-  weight_t d;    // candidate distance
-  vid_t parent;  // global sender vertex (tree parent if accepted)
+  vid_t v;     // global target vertex
+  weight_t d;  // candidate distance
 };
 
 constexpr std::int64_t kNoBucket = std::numeric_limits<std::int64_t>::max();
@@ -23,7 +22,6 @@ DistSsspResult dist_delta_stepping(Comm& comm, const LocalGraph& lg,
   const auto points = partition_points(lg.n_global, lg.ranks);
   DistSsspResult r;
   r.dist.assign(static_cast<size_t>(lg.owned()), kInfDist);
-  r.parent.assign(static_cast<size_t>(lg.owned()), kNoVertex);
 
   // Agree on Δ: global max edge weight / 8.
   weight_t local_max = 0;
@@ -56,7 +54,6 @@ DistSsspResult dist_delta_stepping(Comm& comm, const LocalGraph& lg,
         const vid_t local = lg.to_local(q.v);
         if (q.d < r.dist[local]) {
           r.dist[local] = q.d;
-          r.parent[local] = q.parent;
           improved.push_back(local);
         }
       }
@@ -69,13 +66,12 @@ DistSsspResult dist_delta_stepping(Comm& comm, const LocalGraph& lg,
     for (auto& o : outbox) o.clear();
     for (vid_t local : frontier) {
       const weight_t du = r.dist[local];
-      const vid_t gu = lg.to_global(local);
       for (eid_t e = lg.row[local]; e < lg.row[local + 1]; ++e) {
         const weight_t w = lg.wgt[static_cast<size_t>(e)];
         if (light != (w <= delta)) continue;
         const vid_t gv = lg.col[static_cast<size_t>(e)];
         outbox[static_cast<size_t>(owner_of(gv, points))].push_back(
-            {gv, du + w, gu});
+            {gv, du + w});
         r.edges_relaxed++;
       }
     }
@@ -134,20 +130,13 @@ DistSsspResult dist_delta_stepping(Comm& comm, const LocalGraph& lg,
 }
 
 void gather_global(Comm& comm, const LocalGraph& lg, const DistSsspResult& r,
-                   std::vector<weight_t>& dist_out,
-                   std::vector<vid_t>& parent_out) {
+                   std::vector<weight_t>& dist_out) {
   auto dists = comm.allgatherv(r.dist);
-  auto parents = comm.allgatherv(r.parent);
   dist_out.clear();
-  parent_out.clear();
   dist_out.reserve(static_cast<size_t>(lg.n_global));
-  parent_out.reserve(static_cast<size_t>(lg.n_global));
   for (int rk = 0; rk < comm.size(); ++rk) {
     dist_out.insert(dist_out.end(), dists[static_cast<size_t>(rk)].begin(),
                     dists[static_cast<size_t>(rk)].end());
-    parent_out.insert(parent_out.end(),
-                      parents[static_cast<size_t>(rk)].begin(),
-                      parents[static_cast<size_t>(rk)].end());
   }
 }
 

@@ -14,11 +14,12 @@ struct DistSsspOptions {
   RetryOptions retry;
 };
 
+/// Distances only: DistPeek's prune reads no forward parents (it looks up
+/// the ones its scan walks, core/upper_bound.hpp), so none are kept or sent.
 struct DistSsspResult {
-  /// Distances of OWNED vertices (index = local id).
+  /// Distances of OWNED vertices (index = local id), equal to Dijkstra's
+  /// bit for bit at every rank count.
   std::vector<weight_t> dist;
-  /// Tree parent (global id) of owned vertices.
-  std::vector<vid_t> parent;
   /// Edges relaxed by this rank (the GTEPS numerator of Figure 10).
   std::int64_t edges_relaxed = 0;
 };
@@ -28,10 +29,9 @@ DistSsspResult dist_delta_stepping(Comm& comm, const LocalGraph& lg,
                                    vid_t source,
                                    const DistSsspOptions& opts = {});
 
-/// Collective convenience: gathers the distributed result into full global
-/// dist/parent arrays on every rank.
+/// Collective convenience: gathers the distributed result into the full
+/// global dist array on every rank.
 void gather_global(Comm& comm, const LocalGraph& lg, const DistSsspResult& r,
-                   std::vector<weight_t>& dist_out,
-                   std::vector<vid_t>& parent_out);
+                   std::vector<weight_t>& dist_out);
 
 }  // namespace peek::dist

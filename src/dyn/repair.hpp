@@ -5,8 +5,9 @@
 // for each job, seed_cone_repair() fills a search workspace from the
 // pre-mutation tree and the batch's threshold, and the one search loop
 // (sssp/dijkstra.hpp) then settles only the poisoned region against the
-// post-mutation graph — the output is the exact tree a from-scratch
-// Dijkstra would produce, at a cost proportional to the cone, not the graph.
+// post-mutation graph — the output holds the exact distances (and, from a
+// base tree with every parent, the tree) a from-scratch Dijkstra would
+// produce, at a cost proportional to the cone, not the graph.
 //
 // This is the serving layer's repair loop, so it is fully fault-aware:
 // `dyn.repair.stall` injects a kernel stall per job (deadline coverage) and
@@ -33,7 +34,9 @@ struct RepairJob {
   bool reverse = false;
   /// cone_threshold() of the applied batch against `base`.
   weight_t threshold = kInfDist;
-  /// The complete pre-mutation tree (same root / orientation).
+  /// The pre-mutation tree (same root / orientation): every distance; a
+  /// cached forward tree carries only the parents the prune's scan
+  /// resolved, which the repair copies as they are (nothing reads them).
   std::shared_ptr<const sssp::SsspResult> base;
 };
 
@@ -46,13 +49,13 @@ struct RepairResult {
 };
 
 /// Cone-repair seeding: `view` is the POST-mutation graph and `rview` its
-/// transpose; `base` is a complete pre-mutation tree from `source`. Every
-/// live vertex outside the cone of `threshold` (dyn::in_cone) is provably
-/// unaffected by the mutation and is settled with its base distance and
-/// parent; the frontier re-opens by offering each poisoned vertex its
-/// in-edges from survivors — O(cone-incident edges), not O(survivor edges).
-/// Running the search to completion then yields the exact post-mutation
-/// tree.
+/// transpose; `base` is a pre-mutation tree from `source` with every
+/// distance. Every live vertex outside the cone of `threshold`
+/// (dyn::in_cone) is provably unaffected by the mutation and is settled with
+/// its base distance and parent; the frontier re-opens by offering each
+/// poisoned vertex its in-edges from survivors — O(cone-incident edges), not
+/// O(survivor edges). Running the search to completion then yields the
+/// exact post-mutation distances.
 void seed_cone_repair(const sssp::GraphView& view, const sssp::GraphView& rview,
                       vid_t source, const sssp::SsspResult& base,
                       weight_t threshold, sssp::DijkstraWorkspace& ws);

@@ -24,7 +24,6 @@
 // Shortest-path kernels.
 #include "sssp/alt.hpp"                 // IWYU pragma: export
 #include "sssp/bellman_ford.hpp"        // IWYU pragma: export
-#include "sssp/bidirectional.hpp"       // IWYU pragma: export
 #include "sssp/delta_stepping.hpp"      // IWYU pragma: export
 #include "sssp/dijkstra.hpp"            // IWYU pragma: export
 #include "sssp/hop_limited.hpp"         // IWYU pragma: export

@@ -7,7 +7,6 @@
 #include "ksp/stream.hpp"
 #include "obs/metrics.hpp"
 #include "recover/artifacts.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 
 namespace peek::serve {
@@ -636,13 +635,10 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
   // Epoch-guarded: a tree computed against a superseded snapshot is simply
   // not cached (the answer itself is handled by the caller's epoch check).
   if (!fwd) {
-    // Cone repair and the pair tests read every parent; the parallel prune
-    // found only those its scan walked.
-    auto tree =
-        std::make_shared<sssp::SsspResult>(std::move(pruned.from_source));
-    if (po.parallel) sssp::sweep_tight_parents(sssp::GraphView(g), s, *tree);
-    publish_tree(ArtifactKind::kForwardTree, s, std::move(tree), r.gen,
-                 r.epoch);
+    publish_tree(ArtifactKind::kForwardTree, s,
+                 std::make_shared<sssp::SsspResult>(
+                     std::move(pruned.from_source)),
+                 r.gen, r.epoch);
   }
   if (!rev) {
     // The prune's reverse tree covers only about its kept set; the

@@ -7,11 +7,16 @@
 //      pure lookup; otherwise the snapshot's live KspStream (incremental
 //      OptYen, ksp/stream.hpp) pulls just the missing paths.
 //   2. Tree hit      — the §4.1 forward tree (keyed on s) skips the
-//      full-graph SSSP inside pruning, which dominates PeeK's runtime. The
-//      prune's reverse half is always core::k_upper_bound_prune's own bounded
-//      search, so a miss prunes exactly as core::peek_ksp does. Full reverse
-//      trees (keyed on t) are still computed on a miss and cached, for the
-//      live-mutation pipeline's pair tests and cone repair; a hit skips that.
+//      full-graph SSSP inside pruning, which dominates PeeK's runtime. A
+//      cached forward tree carries distances only: the prune's own
+//      (PruneResult::from_source), whose parents nothing reads — the prune
+//      resolves the ones it walks, the pair tests read distances, and cone
+//      repair only copies survivors' parents. The prune's reverse half is
+//      always core::k_upper_bound_prune's own bounded search, so a miss, cold
+//      or with the forward tree cached, prunes exactly as core::peek_ksp
+//      does. Full reverse trees (keyed on t) are still computed on a miss and
+//      cached, for the live-mutation pipeline's pair tests and cone repair;
+//      a hit skips that.
 //   3. Coalescing    — duplicate in-flight (s, t) queries block on the first
 //      computation instead of repeating it (the thundering-herd guard).
 //   4. Full compute  — prune with an over-provisioned K budget (so nearby
@@ -70,9 +75,10 @@ namespace peek::serve {
 struct ServeOptions {
   /// Base pipeline configuration for cache misses. `k` and `compaction` are
   /// managed per query by the engine (see header comment); `parallel` makes
-  /// a miss's prune (Δ-stepping forward SSSP) and regeneration parallel, and
-  /// alpha and tight_edge_prune apply as in core::peek_ksp. The full reverse
-  /// tree a miss caches and the served KSP streams are serial either way.
+  /// a miss's prune (its Δ-stepping forward SSSP on every worker) and
+  /// regeneration parallel, and alpha and tight_edge_prune apply as in
+  /// core::peek_ksp. The full reverse tree a miss caches and the served KSP
+  /// streams are serial either way.
   core::PeekOptions peek;
   ArtifactCache::Options cache;
   /// A miss for K prunes with max(K, k_budget_floor) rounded up to a power

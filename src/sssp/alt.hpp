@@ -1,8 +1,7 @@
 // ALT (A*, Landmarks, Triangle inequality — Goldberg & Harrelson): landmark
 // distance tables turned into admissible A* heuristics for point-to-point
-// queries. Complements bidirectional Dijkstra as the repeated-query
-// primitive of the library: pay L SSSPs once, then every query explores a
-// fraction of the graph.
+// queries: the library's repeated-query primitive. Pay L SSSPs once, then
+// every query explores a fraction of the graph.
 #pragma once
 
 #include <vector>

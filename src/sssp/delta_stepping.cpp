@@ -46,14 +46,16 @@ struct alignas(64) Worker {
 }  // namespace
 
 SsspResult delta_stepping_distances(const GraphView& view, vid_t source,
-                                    const DeltaSteppingOptions& opts) {
+                                    const DeltaSteppingOptions& opts,
+                                    int worker_count) {
   const vid_t n = view.num_vertices();
   SsspResult r;
   r.dist.assign(static_cast<size_t>(n), kInfDist);
   r.parent.assign(static_cast<size_t>(n), kNoVertex);
   if (source < 0 || source >= n || !view.vertex_alive(source)) return r;
 
-  const int nt = std::max(1, par::max_threads());
+  const int nt =
+      worker_count > 0 ? worker_count : std::max(1, par::max_threads());
   std::vector<Worker> workers(static_cast<size_t>(nt));
   std::vector<Share> shares(static_cast<size_t>(nt));
   weight_t* const dist = r.dist.data();
@@ -144,7 +146,10 @@ SsspResult delta_stepping_distances(const GraphView& view, vid_t source,
       if (cur < wk.bins.size()) sh.entries.swap(wk.bins[cur]);
       sh.cursor.store(0, std::memory_order_relaxed);
     }
-    par::parallel_for(0, nt, [&](int w) { round(w, cur); });
+    // One worker runs inline: a parallel_for opens a team even for one
+    // iteration (OpenMP), or forks (the std::thread backend).
+    if (nt == 1) round(0, cur);
+    else par::parallel_for(0, nt, [&](int w) { round(w, cur); });
     ++rounds;
     size_t next = kNoBucket;
     for (const Worker& wk : workers) next = std::min(next, wk.first);
@@ -170,12 +175,18 @@ SsspResult delta_stepping_distances(const GraphView& view, vid_t source,
   PEEK_COUNT_ADD("sssp.delta.improved", improved);
 
   // Drop the claims.
-  par::parallel_for(vid_t{0}, n, [dist](vid_t v) {
-    dist[v] = std::fabs(dist[v]);
-  });
+  const auto unclaim = [dist](vid_t v) { dist[v] = std::fabs(dist[v]); };
+  if (nt == 1) for (vid_t v = 0; v < n; ++v) unclaim(v);
+  else par::parallel_for(vid_t{0}, n, unclaim);
   return r;
 }
 
+namespace {
+
+/// The parent sweep, one parallel pass over every alive edge: sets each
+/// parent of `r` to the smallest alive in-neighbour u of v with
+/// dist[u] + w(u, v) == dist[v] (kNoVertex for `source` and unreachable
+/// vertices). `r` holds the finished distances from `source` over `view`.
 void sweep_tight_parents(const GraphView& view, vid_t source, SsspResult& r) {
   // For every tight alive edge u->v (dist[u] + w == dist[v]) the smallest
   // such u, whatever order the workers find them in.
@@ -197,6 +208,8 @@ void sweep_tight_parents(const GraphView& view, vid_t source, SsspResult& r) {
     }
   }, /*chunk=*/1024);
 }
+
+}  // namespace
 
 SsspResult delta_stepping(const GraphView& view, vid_t source,
                           const DeltaSteppingOptions& opts) {

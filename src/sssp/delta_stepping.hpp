@@ -7,15 +7,16 @@
 // bin of the same bucket while that bin stays small (bucket fusion, Zhang et
 // al., "Optimizing Ordered Graph Algorithms with GraphIt", CGO 2020), so
 // small buckets cost no extra round. A vertex is expanded at most once per
-// distance value. In this library it runs only the parallel prune's forward
-// SSSP (core/upper_bound); every other search, deviation SSSPs included,
-// runs on the one Dijkstra core (sssp/dijkstra).
+// distance value. In this library it is every prune's forward SSSP
+// (core/upper_bound): on par::max_threads() workers for the parallel prune,
+// on one worker inline for the serial one, where it still beats the Dijkstra
+// core (DESIGN.md §3). Every other search, deviation SSSPs included, runs on
+// the one Dijkstra core (sssp/dijkstra).
 //
 // A run is two steps: the bucket loop (distances) and the parent sweep (one
-// parallel pass over every edge). `delta_stepping` runs both. The parallel
-// prune runs the loop alone and looks up only the parents its bound scan
-// walks, by the sweep's own rule (core/upper_bound.cpp); the serving engine
-// runs the sweep on such a tree before caching it.
+// parallel pass over every edge). `delta_stepping` runs both. The prune runs
+// the loop alone: it reads only distances, and looks up the parents its
+// bound scan walks by the sweep's own rule (core/upper_bound.cpp).
 #pragma once
 
 #include "sssp/dijkstra.hpp"
@@ -44,16 +45,12 @@ SsspResult delta_stepping(const GraphView& view, vid_t source,
                           const DeltaSteppingOptions& opts = {});
 
 /// The bucket loop alone: `delta_stepping`'s distances and status, with
-/// every parent kNoVertex.
+/// every parent kNoVertex. `worker_count` <= 0 runs on par::max_threads()
+/// workers; 1 runs inline on the calling thread and opens no parallel
+/// region. Distances do not depend on the worker count.
 SsspResult delta_stepping_distances(const GraphView& view, vid_t source,
-                                    const DeltaSteppingOptions& opts = {});
-
-/// The parent sweep, one parallel pass over every alive edge: sets each
-/// parent of `r` to the smallest alive in-neighbour u of v with
-/// dist[u] + w(u, v) == dist[v] (kNoVertex for `source` and unreachable
-/// vertices). `r` holds the finished distances from `source` over `view`;
-/// a parent already set must already be that vertex.
-void sweep_tight_parents(const GraphView& view, vid_t source, SsspResult& r);
+                                    const DeltaSteppingOptions& opts = {},
+                                    int worker_count = 0);
 
 /// Δ-stepping on the reverse graph (distances TO `target`).
 SsspResult reverse_delta_stepping(const CsrGraph& g, vid_t target,

@@ -65,31 +65,6 @@ bool is_simple(const Path& p) {
   return true;
 }
 
-bool combined_path_is_simple(const SsspResult& fwd, const SsspResult& rev,
-                             vid_t s, vid_t v, vid_t t) {
-  if (fwd.dist[v] == kInfDist || rev.dist[v] == kInfDist) return false;
-  // Source half s -> v (via forward parents).
-  std::unordered_set<vid_t> src_half;
-  for (vid_t u = v; u != kNoVertex; u = fwd.parent[u]) {
-    src_half.insert(u);
-    if (u == s) break;
-  }
-  // Probe the target half v -> t against it; the halves share exactly `v`.
-  bool clash = false;
-  for (vid_t u = rev.parent[v]; u != kNoVertex && !clash; u = rev.parent[u]) {
-    if (src_half.count(u)) clash = true;
-    if (u == t) break;
-  }
-  return !clash;
-}
-
-Path combined_path(const SsspResult& fwd, const SsspResult& rev, vid_t s,
-                   vid_t v, vid_t t) {
-  Path a = path_from_parents(fwd, s, v);
-  Path b = path_from_reverse_parents(rev, v, t);
-  return concat(a, b);
-}
-
 weight_t path_distance(const graph::CsrGraph& g, const std::vector<vid_t>& verts) {
   if (verts.empty()) return kInfDist;
   weight_t sum = 0;

@@ -1,7 +1,7 @@
 // Path value type + utilities shared by every KSP algorithm: reconstruction
-// from forward/reverse parent arrays, concatenation, simplicity checks, and
-// the parallel hash-based validation used in K-upper-bound identification
-// (§6.1, "path validation").
+// from forward/reverse parent arrays, concatenation and simplicity checks.
+// The K upper bound's combined-path validation (§4.1) lives with its scan
+// (core/upper_bound.cpp), which resolves its own forward parents.
 #pragma once
 
 #include <cstddef>
@@ -47,17 +47,6 @@ Path concat(const Path& prefix, const Path& suffix);
 
 /// No repeated vertex (Definition 1's looplessness requirement).
 bool is_simple(const Path& p);
-
-/// True if combining the source-tree path s->v and the target-tree path v->t
-/// repeats no vertex — the §4.1 validity check. The target-path vertices are
-/// hash-checked against the source path; with OpenMP the membership probes
-/// run in parallel (embarrassingly parallel, Figure 7).
-bool combined_path_is_simple(const SsspResult& fwd, const SsspResult& rev,
-                             vid_t s, vid_t v, vid_t t);
-
-/// The combined s->v->t path itself (empty when either half is unreachable).
-Path combined_path(const SsspResult& fwd, const SsspResult& rev, vid_t s,
-                   vid_t v, vid_t t);
 
 /// Recomputes the distance of `p` over `g`; kInfDist if an edge is missing.
 weight_t path_distance(const graph::CsrGraph& g, const std::vector<vid_t>& verts);

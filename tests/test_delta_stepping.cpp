@@ -24,11 +24,17 @@ long first_difference(const std::vector<T>& got, const std::vector<T>& want) {
 }
 
 /// Distances bit-identical to Dijkstra's, parents by the smallest tight
-/// in-neighbour, at every thread count.
+/// in-neighbour, at every thread count; and the one-worker bucket loop the
+/// serial prune runs inline gives the same distances.
 void expect_matches_dijkstra(const GraphView& view, vid_t source,
                              const DeltaSteppingOptions& opts = {}) {
   const SsspResult dj = dijkstra(view, source);
   const std::vector<vid_t> parents = test::smallest_tight_parents(view, dj, source);
+  const SsspResult inline_run =
+      delta_stepping_distances(view, source, opts, /*worker_count=*/1);
+  ASSERT_EQ(inline_run.status, fault::Status::kOk);
+  EXPECT_EQ(first_difference(inline_run.dist, dj.dist), -1)
+      << "one inline worker: distance differs at this vertex";
   for (int threads : kThreadCounts) {
     par::ThreadScope scope(threads);
     const SsspResult ds = delta_stepping(view, source, opts);

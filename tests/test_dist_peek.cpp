@@ -10,14 +10,13 @@
 namespace peek::dist {
 namespace {
 
-/// DistPeek at each rank count against core::peek_ksp, on every rank.
-/// Distances must be equal under `==`: both prune with the same rule, so
-/// any difference is a lost path, not rounding. With `same_paths` (weights
-/// without ties, so the two SSSPs pick the same parents), b, the kept count
-/// and every path must be identical too.
+/// DistPeek at each rank count against core::peek_ksp, on every rank. Both
+/// prune with the same rule on the same distances and resolve the forward
+/// parents they walk by the same rule, so b, the kept count and every path
+/// must be identical, distances under `==` and paths vertex for vertex, on
+/// weights with ties too.
 void expect_matches_serial_peek(const graph::CsrGraph& g, vid_t s, vid_t t,
-                                int k, std::initializer_list<int> rank_counts,
-                                bool same_paths = false) {
+                                int k, std::initializer_list<int> rank_counts) {
   core::PeekOptions po;
   po.k = k;
   const auto serial = core::peek_ksp(g, s, t, po);
@@ -33,19 +32,14 @@ void expect_matches_serial_peek(const graph::CsrGraph& g, vid_t s, vid_t t,
     for (int r = 0; r < ranks; ++r) {
       SCOPED_TRACE(r);
       const DistPeekResult& got = per_rank[static_cast<size_t>(r)];
-      test::expect_same_distances(serial.ksp.paths, got.ksp.paths);
+      EXPECT_EQ(got.upper_bound, serial.upper_bound);
+      EXPECT_EQ(got.kept_vertices, serial.kept_vertices);
       ASSERT_EQ(got.ksp.paths.size(), serial.ksp.paths.size());
       for (size_t i = 0; i < got.ksp.paths.size(); ++i) {
         EXPECT_EQ(got.ksp.paths[i].dist, serial.ksp.paths[i].dist)
             << "position " << i;
-      }
-      if (same_paths) {
-        EXPECT_EQ(got.upper_bound, serial.upper_bound);
-        EXPECT_EQ(got.kept_vertices, serial.kept_vertices);
-        for (size_t i = 0; i < got.ksp.paths.size(); ++i) {
-          EXPECT_EQ(got.ksp.paths[i].verts, serial.ksp.paths[i].verts)
-              << "position " << i;
-        }
+        EXPECT_EQ(got.ksp.paths[i].verts, serial.ksp.paths[i].verts)
+            << "position " << i;
       }
     }
     if (!per_rank[0].ksp.paths.empty())
@@ -73,8 +67,7 @@ TEST(DistPeek, MatchesSerialAcrossRankCounts) {
 
   // Many pairs and K values: the K-th path's vertices can sum an ulp above
   // b, and a keep rule without keep_slack drops them. Single pairs rarely
-  // hit that; uniform weights (no ties) then pin down b, the kept set and
-  // every path, and unit weights stress ties on distances alone.
+  // hit that. Uniform weights have no ties; unit weights stress them.
   for (std::uint64_t seed = 811; seed < 818; ++seed) {
     const bool unit = seed >= 816;
     auto er = test::random_graph(200, 1600, seed, unit);
@@ -87,8 +80,7 @@ TEST(DistPeek, MatchesSerialAcrossRankCounts) {
       for (int k : {4, 16, 64}) {
         SCOPED_TRACE(::testing::Message() << "seed " << seed << " s " << s
                                           << " t " << t << " k " << k);
-        expect_matches_serial_peek(er, s, t, k, {1, 2, 4},
-                                   /*same_paths=*/!unit);
+        expect_matches_serial_peek(er, s, t, k, {1, 2, 4});
       }
     }
   }

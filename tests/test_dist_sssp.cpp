@@ -14,24 +14,11 @@ void expect_matches_serial(const graph::CsrGraph& g, vid_t source, int ranks) {
     auto lg = make_local_graph(g, c.rank(), c.size());
     auto r = dist_delta_stepping(c, lg, source);
     std::vector<weight_t> dist;
-    std::vector<vid_t> parent;
-    gather_global(c, lg, r, dist, parent);
+    gather_global(c, lg, r, dist);
     ASSERT_EQ(dist.size(), static_cast<size_t>(g.num_vertices()));
+    // Bit for bit: DistPeek's prune reads these distances as peek_ksp's.
     for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      if (ref.dist[v] == kInfDist) {
-        EXPECT_EQ(dist[v], kInfDist) << "v " << v << " ranks " << ranks;
-      } else {
-        EXPECT_NEAR(dist[v], ref.dist[v], 1e-9) << "v " << v;
-      }
-    }
-    // Parents form a valid tight tree.
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      if (v == source || dist[v] == kInfDist) continue;
-      const vid_t p = parent[v];
-      ASSERT_NE(p, kNoVertex) << v;
-      const eid_t e = g.find_edge(p, v);
-      ASSERT_NE(e, kNoEdge) << v;
-      EXPECT_NEAR(dist[p] + g.edge_weight(e), dist[v], 1e-9) << v;
+      EXPECT_EQ(dist[v], ref.dist[v]) << "v " << v << " ranks " << ranks;
     }
   });
 }

@@ -26,6 +26,26 @@ TEST(EdgeSwap, PacksValidEdgesToFront) {
   EXPECT_EQ(targets, (std::vector<vid_t>{1, 3}));
 }
 
+TEST(EdgeSwap, KeptEdgesKeepTheirOrder) {
+  // Vertex 0's out- and in-rows are 1, 2, 3, 4; deleting 2 must leave
+  // 1, 3, 4 in that order, as regeneration does: the KSP search breaks ties
+  // by row order. Front/back pointers moved 4 into 2's slot (1, 4, 3).
+  auto g = graph::from_edges(
+      5, {{0, 1, 1.0}, {0, 2, 1.0}, {0, 3, 1.0}, {0, 4, 1.0}, {1, 0, 1.0},
+          {2, 0, 1.0}, {3, 0, 1.0}, {4, 0, 1.0}});
+  MutableCsr mc(g);
+  std::vector<std::uint8_t> keep{1, 1, 0, 1, 1};
+  edge_swap_compact(mc, keep.data());
+  auto targets = [](const sssp::GraphView& view, vid_t v) {
+    std::vector<vid_t> out;
+    for (eid_t e = view.edge_begin(v); e < view.edge_end(v); ++e)
+      out.push_back(view.edge_target(e));
+    return out;
+  };
+  EXPECT_EQ(targets(mc.view(), 0), (std::vector<vid_t>{1, 3, 4}));
+  EXPECT_EQ(targets(mc.reverse_view(), 0), (std::vector<vid_t>{1, 3, 4}));
+}
+
 TEST(EdgeSwap, WeightPredicate) {
   auto g = graph::from_edges(2, {{0, 1, 5.0}});
   MutableCsr mc(g);

@@ -133,10 +133,11 @@ TEST(MetricsPipeline, PeekRunPopulatesRegistry) {
       m.gauges.at("peek.kept_vertex_ratio"),
       static_cast<double>(r.kept_vertices) / ex.g.num_vertices());
 
-  // Serial pipeline: pruning + deviation SSSPs run through Dijkstra.
-  ASSERT_TRUE(m.counters.count("sssp.dijkstra.relaxed_edges"));
-  EXPECT_GT(m.counters.at("sssp.dijkstra.relaxed_edges"), 0);
-  EXPECT_GT(m.counters.at("sssp.dijkstra.runs"), 0);
+  // Serial pipeline: the prune's forward SSSP is one Δ-stepping run, on one
+  // worker inline.
+  ASSERT_TRUE(m.counters.count("sssp.delta.runs"));
+  EXPECT_EQ(m.counters.at("sssp.delta.runs"), 1);
+  EXPECT_GT(m.counters.at("sssp.delta.relaxed_edges"), 0);
   EXPECT_EQ(m.counters.at("prune.runs"), 1);
   EXPECT_GT(m.counters.at("prune.kept_vertices"), 0);
   EXPECT_GT(m.counters.at("ksp.paths_accepted"), 0);

@@ -74,42 +74,6 @@ TEST(Path, ToString) {
   EXPECT_EQ(to_string({{0, 3, 7}, 2.5}), "0 -> 3 -> 7 (2.5)");
 }
 
-TEST(CombinedPath, PaperExampleInvalidForI) {
-  // §4.1 / Figure 3(e): the combined path through vertex i repeats j.
-  auto ex = test::paper_example_graph();
-  auto fwd = dijkstra(GraphView(ex.g), ex.s);
-  auto rev = reverse_dijkstra(ex.g, ex.t);
-  const vid_t i = ex.id.at("i");
-  // The forward tree reaches i via s->f->j->i (8+1+3=12), the target path is
-  // i->j->t — vertex j repeats, so the combined path must be rejected.
-  EXPECT_DOUBLE_EQ(fwd.dist[i], 12.0);
-  EXPECT_FALSE(combined_path_is_simple(fwd, rev, ex.s, i, ex.t));
-}
-
-TEST(CombinedPath, PaperExampleValidForQ) {
-  auto ex = test::paper_example_graph();
-  auto fwd = dijkstra(GraphView(ex.g), ex.s);
-  auto rev = reverse_dijkstra(ex.g, ex.t);
-  const vid_t q = ex.id.at("q");
-  EXPECT_TRUE(combined_path_is_simple(fwd, rev, ex.s, q, ex.t));
-  Path p = combined_path(fwd, rev, ex.s, q, ex.t);
-  EXPECT_DOUBLE_EQ(p.dist, 14.0);  // s g l q t
-  EXPECT_TRUE(is_simple(p));
-  EXPECT_EQ(p.verts.front(), ex.s);
-  EXPECT_EQ(p.verts.back(), ex.t);
-}
-
-TEST(CombinedPath, UnreachableHalvesRejected) {
-  auto ex = test::paper_example_graph();
-  auto fwd = dijkstra(GraphView(ex.g), ex.s);
-  auto rev = reverse_dijkstra(ex.g, ex.t);
-  // p has no out-edges: target half missing.
-  EXPECT_FALSE(combined_path_is_simple(fwd, rev, ex.s, ex.id.at("p"), ex.t));
-  // a is unreachable from s: source half missing.
-  EXPECT_FALSE(combined_path_is_simple(fwd, rev, ex.s, ex.id.at("a"), ex.t));
-  EXPECT_TRUE(combined_path(fwd, rev, ex.s, ex.id.at("a"), ex.t).empty());
-}
-
 TEST(PathLess, OrdersByDistThenLex) {
   PathLess less;
   EXPECT_TRUE(less({{0, 1}, 1.0}, {{0, 2}, 2.0}));

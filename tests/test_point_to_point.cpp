@@ -1,51 +1,14 @@
-// Bidirectional Dijkstra and the ALT oracle: both must return exact
-// shortest distances, and ALT's heuristic must be admissible.
+// The ALT oracle: it must return exact shortest distances, and its
+// heuristic must be admissible.
 #include <gtest/gtest.h>
 
 #include "sssp/alt.hpp"
-#include "sssp/bidirectional.hpp"
 #include "test_util.hpp"
 
 namespace peek::sssp {
 namespace {
 
-TEST(Bidirectional, Line) {
-  auto g = graph::from_edges(4, {{0, 1, 1.0}, {1, 2, 2.0}, {2, 3, 3.0}});
-  auto r = bidirectional_dijkstra(g, 0, 3);
-  EXPECT_DOUBLE_EQ(r.dist, 6.0);
-  EXPECT_EQ(r.path.verts, (std::vector<vid_t>{0, 1, 2, 3}));
-}
-
-TEST(Bidirectional, SourceEqualsTarget) {
-  auto g = graph::from_edges(2, {{0, 1, 1.0}});
-  auto r = bidirectional_dijkstra(g, 0, 0);
-  EXPECT_DOUBLE_EQ(r.dist, 0.0);
-  EXPECT_EQ(r.path.verts, (std::vector<vid_t>{0}));
-}
-
-TEST(Bidirectional, Unreachable) {
-  auto g = graph::from_edges(3, {{1, 0, 1.0}});
-  auto r = bidirectional_dijkstra(g, 0, 2);
-  EXPECT_EQ(r.dist, kInfDist);
-  EXPECT_TRUE(r.path.empty());
-}
-
 class PointToPointSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PointToPointSweep, BidirectionalMatchesDijkstra) {
-  auto g = test::random_graph(200, 1600, GetParam());
-  auto ref = dijkstra(GraphView(g), 0);
-  for (vid_t t : {5, 50, 100, 150, 199}) {
-    auto r = bidirectional_dijkstra(g, 0, t);
-    if (ref.dist[t] == kInfDist) {
-      EXPECT_EQ(r.dist, kInfDist);
-    } else {
-      EXPECT_NEAR(r.dist, ref.dist[t], 1e-9) << "t=" << t;
-      EXPECT_NEAR(path_distance(g, r.path.verts), r.dist, 1e-9);
-      EXPECT_TRUE(is_simple(r.path));
-    }
-  }
-}
 
 TEST_P(PointToPointSweep, AltMatchesDijkstra) {
   auto g = test::random_graph(200, 1600, GetParam() + 100);

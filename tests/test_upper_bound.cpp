@@ -30,6 +30,24 @@ TEST(UpperBound, PaperExampleBoundAndKeepSet) {
     EXPECT_FALSE(r.vertex_keep[ex.id.at(name)]) << name;
 }
 
+TEST(UpperBound, PaperExampleRejectsNonSimpleCombinedPaths) {
+  // §4.1 / Figure 3(e): at K = 4 the scan meets i (sum 16: s f j i, then
+  // i j t repeats j), o (18) and r (18), whose combined paths repeat l, and
+  // rejects all three; the 4th valid path is s e o r l t, so b = 19. Both
+  // scans, the bounded one and the reference over a full reverse tree.
+  auto ex = test::paper_example_graph();
+  const sssp::SsspResult full = sssp::reverse_dijkstra(ex.g, ex.t);
+  for (bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "full reverse tree" : "bounded search");
+    PruneOptions opts;
+    opts.k = 4;
+    if (reference) opts.reuse_to_target = &full;
+    auto r = k_upper_bound_prune(ex.g, ex.s, ex.t, opts);
+    EXPECT_DOUBLE_EQ(r.upper_bound, 19.0);
+    EXPECT_EQ(r.inspected_paths, 11);  // 4 valid, 3 non-simple, 4 repeats
+  }
+}
+
 TEST(UpperBound, BoundIsSound) {
   // b must be >= the true K-th shortest path distance (Lemma 4.2's premise).
   // Unit weights too: under tied lengths the reverse search may pick other
@@ -155,12 +173,14 @@ TEST(UpperBound, BoundedSearchMatchesFullTrees) {
 }
 
 TEST(UpperBound, ParallelScanParentsMatchAHandedFullTree) {
-  // The parallel prune runs Δ-stepping's bucket loop alone and looks up only
-  // the forward parents its scan walks. Handed the full Δ-stepping tree
-  // instead, the same prune must find the same b, keep mask, inspected
-  // paths, kept list and compacted graph, at every thread count, and every
-  // parent it looked up must be the full sweep's: the smallest tight
-  // in-neighbour. Unit weights make most parents a choice among ties.
+  // Every prune runs Δ-stepping's bucket loop (one worker inline when
+  // serial) and looks up only the forward parents its scan walks, by one
+  // rule. Handed the full Δ-stepping tree instead (whose parents it never
+  // reads), the same prune must find the same b, keep mask, inspected
+  // paths, kept list and compacted graph; so must the serial prune, at
+  // every thread count. Every parent the scan looked up must be the
+  // smallest tight in-neighbour. Unit weights make most parents a choice
+  // among ties.
   std::vector<test::NamedGraph> graphs = test::tie_heavy_graphs();
   for (std::uint64_t seed : {271u, 272u, 273u}) {
     graphs.push_back({"er" + std::to_string(seed),
@@ -173,7 +193,11 @@ TEST(UpperBound, ParallelScanParentsMatchAHandedFullTree) {
     for (const auto& [s, t] : test::spread_pairs(g.num_vertices(), 4)) {
       const sssp::SsspResult dj = sssp::dijkstra(view, s);
       const std::vector<vid_t> want = test::smallest_tight_parents(view, dj, s);
+      const sssp::SsspResult full = sssp::delta_stepping(view, s);
       for (int k : {1, 8, 32}) {
+        PruneOptions serial_opts;
+        serial_opts.k = k;
+        const PruneResult serial = k_upper_bound_prune(g, s, t, serial_opts);
         for (int threads : {1, 2, 4}) {
           SCOPED_TRACE(name + " " + std::to_string(s) + "->" +
                        std::to_string(t) + " K=" + std::to_string(k) + " " +
@@ -183,17 +207,19 @@ TEST(UpperBound, ParallelScanParentsMatchAHandedFullTree) {
           opts.k = k;
           opts.parallel = true;
           const PruneResult on_demand = k_upper_bound_prune(g, s, t, opts);
-          const sssp::SsspResult full = sssp::delta_stepping(view, s);
           opts.reuse_from_source = &full;
           const PruneResult handed = k_upper_bound_prune(g, s, t, opts);
           ASSERT_EQ(on_demand.status, fault::Status::kOk);
           ASSERT_EQ(handed.status, fault::Status::kOk);
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(on_demand.upper_bound),
-                    std::bit_cast<std::uint64_t>(handed.upper_bound));
-          EXPECT_EQ(on_demand.vertex_keep, handed.vertex_keep);
-          EXPECT_EQ(on_demand.inspected_paths, handed.inspected_paths);
-          EXPECT_EQ(on_demand.kept_vertices, handed.kept_vertices);
-          EXPECT_EQ(on_demand.kept_list, handed.kept_list);
+          ASSERT_EQ(serial.status, fault::Status::kOk);
+          for (const PruneResult* other : {&handed, &serial}) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(on_demand.upper_bound),
+                      std::bit_cast<std::uint64_t>(other->upper_bound));
+            EXPECT_EQ(on_demand.vertex_keep, other->vertex_keep);
+            EXPECT_EQ(on_demand.inspected_paths, other->inspected_paths);
+            EXPECT_EQ(on_demand.kept_vertices, other->kept_vertices);
+            EXPECT_EQ(on_demand.kept_list, other->kept_list);
+          }
           EXPECT_EQ(on_demand.kept_list,
                     compact::kept_vertices(view, on_demand.vertex_keep.data()));
           const auto a = compact::regenerate(view, on_demand.kept_list,
@@ -205,6 +231,7 @@ TEST(UpperBound, ParallelScanParentsMatchAHandedFullTree) {
           if (handed.upper_bound != kInfDist) finite_bounds++;
 
           ASSERT_EQ(on_demand.from_source.dist, dj.dist);
+          EXPECT_EQ(on_demand.from_source.parent, serial.from_source.parent);
           for (size_t v = 0; v < want.size(); ++v) {
             const vid_t p = on_demand.from_source.parent[v];
             if (p == kNoVertex) continue;
@@ -240,6 +267,26 @@ TEST(UpperBound, BoundedSearchSettlesAFewPercent) {
   EXPECT_GT(relaxed.value() - relaxed0, 0);
 }
 #endif
+
+TEST(UpperBound, RoundingTightParentCycleEndsTheWalk) {
+  // 1e17 + 1 rounds to 1e17, so a -> b and b -> a are both tight, and the
+  // smallest tight in-neighbour of a is b (id 1 < s's id 2): the looked-up
+  // parents form a cycle that never reaches s. The scan must reject such a
+  // half and finish, keeping the one real path s a t.
+  const vid_t a = 0, b = 1, s = 2, t = 3;
+  auto g = graph::from_edges(
+      4, {{s, a, 1e17}, {a, b, 1.0}, {b, a, 1.0}, {a, t, 1.0}});
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    PruneOptions opts;
+    opts.k = 1;
+    opts.parallel = parallel;
+    const PruneResult r = k_upper_bound_prune(g, s, t, opts);
+    ASSERT_EQ(r.status, fault::Status::kOk);
+    EXPECT_NE(r.upper_bound, kInfDist);
+    for (vid_t v : {s, a, t}) EXPECT_TRUE(r.vertex_keep[v]) << v;
+  }
+}
 
 TEST(UpperBound, UnreachableTargetPrunesEverything) {
   auto g = graph::from_edges(3, {{1, 0, 1.0}});

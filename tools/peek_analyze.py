@@ -66,7 +66,6 @@ HEAVY_CALLEES = (
     "dijkstra",                # covers dijkstra / reverse_dijkstra
     "delta_stepping",          # covers reverse_delta_stepping
     "bellman_ford",
-    "bidirectional_dijkstra",
     "run",                     # the search core: DijkstraWorkspace::run
     "settle_next",             # ... and its one-vertex step
     "compute_sssp",
